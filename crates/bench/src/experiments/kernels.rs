@@ -83,8 +83,7 @@ impl KernelsResult {
                 "    {{\"label\": \"{}\", \"in_ch\": {}, \"out_ch\": {}, \"hw\": {}, \
                  \"batch\": {}, \"splits\": {}, \"row_tiles\": {}, \
                  \"backends\": {{\"scalar_ms\": {:.3}, \"simd_f32_ms\": {:.3}, \
-                 \"int_panels_ms\": {:.3}}}, \"f32_ms\": {:.3}, \
-                 \"int_ms\": {:.3}, \"speedup\": {:.3}}}{}\n",
+                 \"int_panels_ms\": {:.3}}}}}{}\n",
                 p.label,
                 p.in_ch,
                 p.out_ch,
@@ -95,9 +94,6 @@ impl KernelsResult {
                 p.scalar_ms,
                 p.f32_ms,
                 p.int_ms,
-                p.f32_ms,
-                p.int_ms,
-                p.speedup,
                 if i + 1 < self.shapes.len() { "," } else { "" }
             ));
         }

@@ -32,14 +32,14 @@ pub struct ThroughputPoint {
 /// One executor configuration of the A/B comparison (fixed `max_batch`).
 #[derive(Debug, Clone)]
 pub struct ExecutorPoint {
-    /// `spawn_per_call` (pre-executor behaviour), `pooled` (persistent
-    /// pool, pipelining off), or `pooled_pipelined` (persistent pool +
-    /// cross-layer wave pipelining — the serving default).
+    /// `pooled` (persistent pool, pipelining off) or `pooled_pipelined`
+    /// (persistent pool + cross-layer wave pipelining — the serving
+    /// default).
     pub mode: &'static str,
     /// Serving rate over the whole request stream.
     pub images_per_sec: f64,
     /// OS threads created during the measured sweeps (after warm-up).
-    /// Asserted `0` for both pooled modes.
+    /// Asserted `0`.
     pub spawned_threads: usize,
 }
 
@@ -58,8 +58,8 @@ pub struct ThroughputResult {
     pub unprepared_ips: f64,
     /// Prepared engine at each coalescing cap.
     pub prepared: Vec<ThroughputPoint>,
-    /// Executor A/B at the largest coalescing cap: spawn-per-call vs
-    /// pooled vs pooled + pipelined.
+    /// Executor A/B at the largest coalescing cap: pooled vs pooled +
+    /// pipelined.
     pub executor: Vec<ExecutorPoint>,
     /// Active frozen convolutions per execution backend (indexed by
     /// [`BackendKind::index`]) in the prepared engine's default chain.
@@ -187,30 +187,24 @@ pub fn measure(scale: Scale) -> ThroughputResult {
             images_per_sec: ips,
         });
     }
-    // Executor A/B at the largest cap: the pre-pool spawn-per-call
-    // reference, the persistent pool alone, and the pool with cross-layer
-    // wave pipelining (the serving default). Outputs are bit-identical
-    // across all three — only the schedule differs.
+    // Executor A/B at the largest cap: the persistent pool alone, and the
+    // pool with cross-layer wave pipelining (the serving default). Outputs
+    // are bit-identical across both — only the schedule differs.
     pm.set_max_batch(Some(*batches.last().unwrap()));
     let mut executor = Vec::new();
-    for (mode, backend, depth) in [
-        ("spawn_per_call", exec::Backend::SpawnPerCall, 1usize),
-        ("pooled", exec::Backend::Pooled, 1),
-        ("pooled_pipelined", exec::Backend::Pooled, 2),
-    ] {
-        exec::set_backend(backend);
+    for (mode, depth) in [("pooled", 1usize), ("pooled_pipelined", 2)] {
         pm.set_pipeline_depth(depth);
         // Warm-up sweep: lazily creates the global pool; the measured
-        // sweeps after it must spawn nothing on the pooled backend.
+        // sweeps after it must spawn nothing.
         std::hint::black_box(pm.infer_batch(&requests));
         let spawned_before = exec::os_threads_spawned();
         let ips = measure_ips(num_requests, reps, || {
             std::hint::black_box(pm.infer_batch(&requests));
         });
         let spawned_threads = exec::os_threads_spawned() - spawned_before;
-        assert!(
-            backend == exec::Backend::SpawnPerCall || spawned_threads == 0,
-            "pooled serving must spawn zero OS threads per sweep (saw {spawned_threads})"
+        assert_eq!(
+            spawned_threads, 0,
+            "pooled serving must spawn zero OS threads per sweep"
         );
         executor.push(ExecutorPoint {
             mode,
@@ -218,7 +212,6 @@ pub fn measure(scale: Scale) -> ThroughputResult {
             spawned_threads,
         });
     }
-    exec::set_backend(exec::Backend::Pooled);
     pm.set_pipeline_depth(2);
 
     let best = prepared
@@ -287,17 +280,12 @@ pub fn run(scale: Scale) -> String {
         r.prepared.last().map(|p| p.max_batch).unwrap_or(0)
     ));
     out.push_str(&markdown_table(
-        &[
-            "executor",
-            "images/sec",
-            "vs spawn-per-call",
-            "threads spawned",
-        ],
+        &["executor", "images/sec", "vs pooled", "threads spawned"],
         &exec_rows,
     ));
     out.push_str(
-        "\nBoth pooled rows spawn **zero** OS threads across the measured \
-         sweeps (asserted at run time).\n",
+        "\nBoth rows spawn **zero** OS threads across the measured sweeps \
+         (asserted at run time).\n",
     );
     out
 }

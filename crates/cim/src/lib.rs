@@ -21,14 +21,7 @@
 //!   ordered fallback chain of execution backends (scalar reference,
 //!   blocked f32, freeze-time repacked `i8×i8→i32` panel kernels over
 //!   [`IntGroupedWeights`]) against each layer's capability profile, all
-//!   bit-identical where applicable. The legacy [`PsumKernel`] enum
-//!   survives as a thin compat constructor.
-//! * [`ShardPlan`] — contiguous partitioning of row tiles (or batch rows)
-//!   behind the bit-exact sharded execution paths: shards compute
-//!   independent partial-sum blocks that are scattered — never re-summed —
-//!   back into the canonical layout before the fixed-order accumulation.
-//!   Plans are optionally **placement-aware**: each shard can be pinned to
-//!   the backend that owns its weights.
+//!   bit-identical where applicable.
 //! * [`dequant_mults`] / [`overhead_class`] — the dequantization-overhead
 //!   model behind the paper's Fig. 8.
 //! * [`apply_lognormal`] — the Eq. (5) memory-cell variation model.
@@ -56,7 +49,6 @@ mod engine;
 mod overhead;
 mod pipeline;
 mod prepared;
-mod shard;
 mod tiling;
 mod variation;
 
@@ -65,7 +57,7 @@ pub use config::CimConfig;
 pub use cost::{layer_cost, LayerCost};
 pub use cq_tensor::{
     backend_instance, BackendError, BackendKind, BackendSet, ConvProfile, ExecBackend, IntPanels,
-    PsumKernel, ScalarRef, SimdF32,
+    ScalarRef, SimdF32,
 };
 pub use crossbar::Crossbar;
 pub use engine::{CrossbarLayer, QuantizedConv};
@@ -75,6 +67,5 @@ pub use pipeline::{
     PerturbedDigitizer, PsumPipeline,
 };
 pub use prepared::PreparedConv;
-pub use shard::ShardPlan;
 pub use tiling::TilingPlan;
 pub use variation::{apply_lognormal, apply_lognormal_in_place, FIG10_SIGMAS};

@@ -16,50 +16,25 @@
 //!
 //! Sweeps execute on a pluggable [`ExecBackend`] resolved from a
 //! [`BackendSet`] fallback chain against the layer's [`ConvProfile`]
-//! (capability probe), and row-tile sharding is **placement-aware**: every
-//! shard of a [`ShardPlan`] can be pinned to its own backend, with
-//! freeze-time weight artifacts (grouped f32 slices, repacked integer
-//! panels) living with the backend that consumes them. All backends are
-//! bit-identical, so placement is purely about speed and locality.
+//! (capability probe). All backends are bit-identical, so the choice is
+//! purely about speed. Parallelism comes from the backend kernels, which
+//! schedule their work items on the shared [`cq_tensor::exec`] pool.
 //!
 //! Per-call intermediates (the quantized and channel-padded activations,
-//! per-split partial sums, the im2col matrix, shard slices) are checked out
+//! per-split partial sums, the im2col matrix) are checked out
 //! of the executing thread's [`cq_tensor::arena`], so a steady-state
 //! serving loop allocates only its output tensors — one arena per worker
 //! instead of the old per-layer scratch pools that multiplied across
 //! layers × workers × models.
 
 use crate::pipeline::IntGroupedWeights;
-use crate::{
-    Adc, AdcDigitizer, HybridDigitizer, IdealDigitizer, PsumKernel, PsumPipeline, QuantizedConv,
-    ShardPlan,
-};
+use crate::{Adc, AdcDigitizer, HybridDigitizer, IdealDigitizer, PsumPipeline, QuantizedConv};
 use cq_quant::{GroupLayout, LsqQuantizer};
 use cq_tensor::{
-    arena, backend_instance, conv_out_dim, exec, BackendError, BackendKind, BackendSet,
-    ConvProfile, ConvShape, ExecBackend, Tensor,
+    arena, conv_out_dim, BackendError, BackendKind, BackendSet, ConvProfile, ConvShape,
+    ExecBackend, Tensor,
 };
 use std::sync::Arc;
-
-/// One shard's execution assignment: the backend it runs on plus the
-/// freeze-time weight artifacts that backend consumes (pre-sliced f32
-/// weights for f32-family backends; integer backends index the layer's
-/// full panel sets by tile range instead).
-#[derive(Debug, Clone)]
-struct ShardBackend {
-    backend: Arc<dyn ExecBackend>,
-    /// Per-split contiguous `[len·OC, c_pa, K, K]` slices; empty for
-    /// integer backends.
-    weights: Vec<Tensor>,
-}
-
-/// Row-tile shard execution state: the (possibly placement-aware) shard
-/// plan plus each shard's backend assignment and weight artifacts.
-#[derive(Debug, Clone)]
-struct ShardExec {
-    plan: ShardPlan,
-    shards: Vec<ShardBackend>,
-}
 
 /// A quantized convolution frozen for inference: weights quantized,
 /// bit-split, and grouped once; every serve drives the shared
@@ -81,14 +56,10 @@ pub struct PreparedConv {
     profile: ConvProfile,
     /// The configured fallback chain.
     backends: BackendSet,
-    /// The resolved backend whole sweeps (and unplaced shards) run on.
+    /// The resolved backend sweeps run on.
     active: Arc<dyn ExecBackend>,
     adc: Adc,
     a_quant: LsqQuantizer,
-    /// Row-tile sharded front-end, when enabled (see
-    /// [`PreparedConv::set_row_tile_shards`] /
-    /// [`PreparedConv::set_shard_plan`]).
-    shard: Option<ShardExec>,
 }
 
 impl PreparedConv {
@@ -155,17 +126,13 @@ impl PreparedConv {
             adc,
             a_quant,
             desc,
-            shard: None,
         }
     }
 
     /// Selects the execution-backend fallback chain: the layer resolves
-    /// (and whole sweeps run on) the first chain entry whose capability
-    /// probe accepts this layer's [`ConvProfile`]. Any active row-tile
-    /// shard state is rebuilt with every shard on the newly resolved
-    /// backend (explicit placements are re-derived, see
-    /// [`PreparedConv::set_shard_plan`]). All backends are bit-identical,
-    /// so the choice is purely speed.
+    /// (and sweeps run on) the first chain entry whose capability probe
+    /// accepts this layer's [`ConvProfile`]. All backends are
+    /// bit-identical, so the choice is purely speed.
     ///
     /// # Errors
     ///
@@ -173,21 +140,10 @@ impl PreparedConv {
     /// (e.g. [`BackendSet::int`] on slices that are not integer-eligible);
     /// the previous configuration is left untouched.
     pub fn set_backends(&mut self, backends: BackendSet) -> Result<(), BackendError> {
-        let active = backends
+        self.active = backends
             .resolve(&self.profile)
             .ok_or_else(|| BackendError::NoBackend(backends.kinds()))?;
-        let old_active = std::mem::replace(&mut self.active, active);
-        let old_backends = std::mem::replace(&mut self.backends, backends);
-        if let Some(plan) = self.shard.as_ref().map(|se| se.plan.clone()) {
-            match self.build_shard_exec(&plan) {
-                Ok(se) => self.shard = Some(se),
-                Err(e) => {
-                    self.active = old_active;
-                    self.backends = old_backends;
-                    return Err(e);
-                }
-            }
-        }
+        self.backends = backends;
         Ok(())
     }
 
@@ -196,7 +152,7 @@ impl PreparedConv {
         &self.backends
     }
 
-    /// The resolved backend whole sweeps (and unplaced shards) run on.
+    /// The resolved backend sweeps run on.
     pub fn active_backend(&self) -> BackendKind {
         self.active.kind()
     }
@@ -206,140 +162,10 @@ impl PreparedConv {
         self.profile
     }
 
-    /// Compat selector for the legacy kernel-family enum: equivalent to
-    /// `set_backends(kernel.into())` (see [`BackendSet::from`]).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::NoBackend`] on [`PsumKernel::Int`] when the frozen
-    /// slices are not integer-eligible (device variation or out-of-range
-    /// formats); use `Auto` for f32 fallback.
-    pub fn set_psum_kernel(&mut self, kernel: PsumKernel) -> Result<(), BackendError> {
-        self.set_backends(kernel.into())
-    }
-
-    /// The legacy [`PsumKernel`] view of the configured chain (see
-    /// [`BackendSet::as_psum_kernel`]).
-    pub fn psum_kernel(&self) -> PsumKernel {
-        self.backends.as_psum_kernel()
-    }
-
-    /// Whether whole sweeps currently dispatch to the integer kernels
+    /// Whether sweeps currently dispatch to the integer kernels
     /// (the resolved backend runs the integer chain).
     pub fn integer_kernel_active(&self) -> bool {
         self.active.integer()
-    }
-
-    /// Enables (or disables, with `None`/`Some(1)`) **row-tile sharding**:
-    /// the grouped-conv front-end is split into up to `shards` independent
-    /// row-tile shards that execute as tasks on the shared
-    /// [`cq_tensor::exec`] pool and are rejoined by exact scatter before
-    /// the canonical fixed-order reduce — outputs are **bit-identical**
-    /// to the unsharded path for every shard count (counts larger than
-    /// the number of row tiles are clamped). Every shard runs on the
-    /// layer's resolved backend; use [`PreparedConv::set_shard_plan`] for
-    /// per-shard placement. Per-shard weight slices are cut once here, so
-    /// serving does no per-call weight copying.
-    ///
-    /// Shard tasks and the kernels they call all run on the one
-    /// `CQ_THREADS`-capped pool (nested scopes lend their caller to the
-    /// queue instead of spawning), so total parallelism never exceeds
-    /// `CQ_THREADS` no matter how many shards are configured — no
-    /// multiplicative thread budgeting needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == Some(0)`.
-    pub fn set_row_tile_shards(&mut self, shards: Option<usize>) {
-        assert!(shards != Some(0), "shard count must be positive");
-        self.shard = shards.and_then(|n| {
-            let plan = ShardPlan::split(self.desc.plan.num_row_tiles, n);
-            (!plan.is_trivial()).then(|| {
-                self.build_shard_exec(&plan)
-                    .expect("unplaced shard plans always build on the resolved backend")
-            })
-        });
-    }
-
-    /// Installs an explicit (possibly **placement-aware**) row-tile shard
-    /// plan: each shard executes on its assigned [`BackendKind`] (unplaced
-    /// shards use the layer's resolved backend), and freeze-time weight
-    /// artifacts are cut per shard for the backend that consumes them.
-    /// Mixed-backend plans rejoin bit-exactly — every backend computes
-    /// identical partial sums, and the scatter rejoin preserves the
-    /// canonical reduce order.
-    ///
-    /// Unlike [`PreparedConv::set_row_tile_shards`], a trivial one-shard
-    /// plan is honored as given (useful for pinning a whole layer's sweep
-    /// onto one placed backend).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::Unsupported`] when a placed backend's capability
-    /// probe rejects this layer (placement is strict — there is no silent
-    /// fallback); the previous shard state is left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan does not partition this layer's row tiles.
-    pub fn set_shard_plan(&mut self, plan: Option<ShardPlan>) -> Result<(), BackendError> {
-        match plan {
-            None => {
-                self.shard = None;
-                Ok(())
-            }
-            Some(plan) => {
-                self.shard = Some(self.build_shard_exec(&plan)?);
-                Ok(())
-            }
-        }
-    }
-
-    /// Resolves each shard's backend and cuts its weight artifacts.
-    fn build_shard_exec(&self, plan: &ShardPlan) -> Result<ShardExec, BackendError> {
-        assert_eq!(
-            plan.num_items(),
-            self.desc.plan.num_row_tiles,
-            "shard plan vs row tiles"
-        );
-        let shards = plan
-            .iter()
-            .enumerate()
-            .map(|(i, tiles)| {
-                let backend = match plan.backend_of(i) {
-                    Some(kind) => {
-                        let b = backend_instance(kind);
-                        if !b.supports(&self.profile) {
-                            return Err(BackendError::Unsupported(kind));
-                        }
-                        b
-                    }
-                    None => self.active.clone(),
-                };
-                let weights = if backend.integer() {
-                    Vec::new()
-                } else {
-                    self.pipeline
-                        .shard_grouped_weights(&self.grouped_weights, tiles)
-                };
-                Ok(ShardBackend { backend, weights })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardExec {
-            plan: plan.clone(),
-            shards,
-        })
-    }
-
-    /// The effective row-tile shard count (1 when sharding is off or the
-    /// layer has a single row tile).
-    pub fn row_tile_shards(&self) -> usize {
-        self.shard.as_ref().map_or(1, |s| s.plan.num_shards())
-    }
-
-    /// The installed row-tile shard plan, if sharding is enabled.
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.shard.as_ref().map(|se| &se.plan)
     }
 
     /// The frozen layer description.
@@ -385,8 +211,7 @@ impl PreparedConv {
     }
 
     /// The shared serving body: pad channels, sweep the grouped conv on
-    /// the resolved backend (whole, or as independent per-backend row-tile
-    /// shards rejoined by exact scatter), digitize and reduce.
+    /// the resolved backend, digitize and reduce.
     fn run(&self, a_int: &Tensor) -> Tensor {
         let p = &self.desc.plan;
         let (b, h, w) = (a_int.dim(0), a_int.dim(2), a_int.dim(3));
@@ -399,39 +224,35 @@ impl PreparedConv {
             .map(|_| arena::take_tensor(&shape))
             .collect();
         let tiles = p.num_row_tiles;
-        match &self.shard {
-            Some(se) => self.sharded_psums(se, &a_pad, &mut psums),
-            None if self.active.integer() => {
-                let iw = self
-                    .int_weights
-                    .as_deref()
-                    .expect("integer backend resolved without panels");
-                self.pipeline.grouped_psums_int_into(
-                    self.active.as_ref(),
-                    &a_pad,
-                    iw,
-                    0..tiles,
-                    &mut psums,
-                );
-            }
-            None => {
-                let s = ConvShape::new(
-                    a_pad.shape(),
-                    &[tiles * p.out_ch, p.ch_per_array, p.kh, p.kw],
-                    self.desc.stride,
-                    self.desc.pad,
-                    tiles,
-                );
-                let mut col = arena::take_f32(s.col_rows() * s.col_cols());
-                self.pipeline.grouped_psums_into(
-                    self.active.as_ref(),
-                    &a_pad,
-                    &self.grouped_weights,
-                    &mut psums,
-                    &mut col,
-                );
-                arena::put_f32(col);
-            }
+        if self.active.integer() {
+            let iw = self
+                .int_weights
+                .as_deref()
+                .expect("integer backend resolved without panels");
+            self.pipeline.grouped_psums_int_into(
+                self.active.as_ref(),
+                &a_pad,
+                iw,
+                0..tiles,
+                &mut psums,
+            );
+        } else {
+            let s = ConvShape::new(
+                a_pad.shape(),
+                &[tiles * p.out_ch, p.ch_per_array, p.kh, p.kw],
+                self.desc.stride,
+                self.desc.pad,
+                tiles,
+            );
+            let mut col = arena::take_f32(s.col_rows() * s.col_cols());
+            self.pipeline.grouped_psums_into(
+                self.active.as_ref(),
+                &a_pad,
+                &self.grouped_weights,
+                &mut psums,
+                &mut col,
+            );
+            arena::put_f32(col);
         }
         let y = if self.desc.psum_quant {
             let dig = AdcDigitizer::new(self.adc, &self.desc.psum_scales, &self.desc.plan);
@@ -449,92 +270,6 @@ impl PreparedConv {
         }
         arena::put_tensor(a_pad);
         y
-    }
-
-    /// Row-tile sharded front-end: every shard computes its groups'
-    /// partial sums on its assigned backend as an executor task (shard
-    /// scratch from the executing worker's arena) and scatters them —
-    /// exact copies, never re-summed — straight into its pre-split blocks
-    /// of the full per-split tensors, so the subsequent reduce runs in the
-    /// canonical unsharded operation order regardless of placement.
-    fn sharded_psums(&self, se: &ShardExec, a_pad: &Tensor, psums: &mut [Tensor]) {
-        let p = &self.desc.plan;
-        let int_weights = self.int_weights.as_deref();
-        let (b, h, w) = (a_pad.dim(0), a_pad.dim(2), a_pad.dim(3));
-        let oh = conv_out_dim(h, p.kh, self.desc.stride, self.desc.pad);
-        let ow = conv_out_dim(w, p.kw, self.desc.stride, self.desc.pad);
-        let inner = oh * ow;
-        let n_shards = se.plan.num_shards();
-        // Pre-split every full per-split tensor into its (batch element ×
-        // shard) destination blocks, so each shard task owns the disjoint
-        // canonical-layout slices it rejoins into.
-        let mut dst: Vec<Vec<Vec<&mut [f32]>>> = (0..n_shards)
-            .map(|_| (0..p.num_splits).map(|_| Vec::with_capacity(b)).collect())
-            .collect();
-        for (s, ps) in psums.iter_mut().enumerate() {
-            let mut rest: &mut [f32] = ps.data_mut();
-            for _bi in 0..b {
-                for (sh, tiles) in se.plan.iter().enumerate() {
-                    let blk = tiles.len() * p.out_ch * inner;
-                    let (head, tail) = rest.split_at_mut(blk);
-                    dst[sh][s].push(head);
-                    rest = tail;
-                }
-            }
-            debug_assert!(rest.is_empty(), "shard blocks must tile the psum tensor");
-        }
-        exec::scope(|sc| {
-            for ((tiles, sb), mut task_dst) in se.plan.iter().zip(se.shards.iter()).zip(dst) {
-                let pipeline = &self.pipeline;
-                let desc = &self.desc;
-                sc.spawn(move || {
-                    let len = tiles.len();
-                    let mut a_shard = arena::take_tensor(&[b, len * p.ch_per_array, h, w]);
-                    pipeline.slice_padded_row_tiles(a_pad, tiles.clone(), &mut a_shard);
-                    let mut sps: Vec<Tensor> = (0..p.num_splits)
-                        .map(|_| arena::take_tensor(&[b, len * p.out_ch, oh, ow]))
-                        .collect();
-                    if sb.backend.integer() {
-                        let iw = int_weights.expect("integer shard placed without panels");
-                        pipeline.grouped_psums_int_into(
-                            sb.backend.as_ref(),
-                            &a_shard,
-                            iw,
-                            tiles.clone(),
-                            &mut sps,
-                        );
-                    } else {
-                        let s = ConvShape::new(
-                            a_shard.shape(),
-                            &[len * p.out_ch, p.ch_per_array, p.kh, p.kw],
-                            desc.stride,
-                            desc.pad,
-                            len,
-                        );
-                        let mut col = arena::take_f32(s.col_rows() * s.col_cols());
-                        pipeline.grouped_psums_shard_into(
-                            sb.backend.as_ref(),
-                            &a_shard,
-                            &sb.weights,
-                            tiles.clone(),
-                            &mut sps,
-                            &mut col,
-                        );
-                        arena::put_f32(col);
-                    }
-                    let blk = len * p.out_ch * inner;
-                    for (sp, d) in sps.iter().zip(task_dst.iter_mut()) {
-                        for (bi, db) in d.iter_mut().enumerate() {
-                            db.copy_from_slice(&sp.data()[bi * blk..(bi + 1) * blk]);
-                        }
-                    }
-                    for t in sps {
-                        arena::put_tensor(t);
-                    }
-                    arena::put_tensor(a_shard);
-                });
-            }
-        });
     }
 }
 
@@ -594,8 +329,7 @@ mod tests {
 
     /// Hybrid (ADC-less low-split) digitization stays bit-identical
     /// between the prepared path and the crossbar engine, across every
-    /// backend and under row-tile sharding, while differing from the
-    /// pure-ADC path.
+    /// backend, while differing from the pure-ADC path.
     #[test]
     fn hybrid_digitization_is_bit_exact_across_paths() {
         let mut desc = small_desc(true);
@@ -613,12 +347,9 @@ mod tests {
         scalar.set_backends(BackendSet::scalar()).unwrap();
         assert_eq!(scalar.infer(&x), want, "scalar backend");
         let mut int_forced = PreparedConv::new(desc.clone());
-        int_forced.set_psum_kernel(PsumKernel::Int).unwrap();
+        int_forced.set_backends(BackendSet::int()).unwrap();
         assert_eq!(int_forced.infer(&x), want, "integer backend");
-        let mut sharded = PreparedConv::new(desc);
-        sharded.set_row_tile_shards(Some(2));
-        assert_eq!(sharded.infer(&x), want, "sharded");
-        assert_eq!(sharded.infer(&x), want, "warm-arena sharded");
+        assert_eq!(int_forced.infer(&x), want, "warm-arena integer backend");
     }
 
     /// Serving repeatedly on one thread (so every call reuses the same
@@ -652,56 +383,53 @@ mod tests {
         assert_ne!(plain.infer(&x), scaled.infer(&x));
     }
 
-    /// Row-tile sharded execution must be bit-identical to the unsharded
-    /// path for every shard count — including counts above the number of
-    /// row tiles — with and without psum quantization, and across warm
-    /// (arena-reusing) repeat calls.
+    /// The kernels' work items run on whichever exec pool is installed;
+    /// every pool width must produce the same bits on every backend, with
+    /// and without psum quantization, across warm (arena-reusing) calls.
     #[test]
-    fn row_tile_sharding_is_bit_exact() {
+    fn pool_width_is_bit_exact() {
         for psq in [false, true] {
             let desc = small_desc(psq);
-            let tiles = desc.plan.num_row_tiles; // 3 for the tiny config
-            assert!(tiles > 1, "test needs a multi-tile layer");
-            let baseline = PreparedConv::new(desc.clone());
+            assert!(desc.plan.num_row_tiles > 1, "test needs a multi-tile layer");
             let mut rng = CqRng::new(31);
             let x = rng.normal_tensor(&[2, 7, 6, 6], 1.0).map(|v| v.max(0.0));
-            let want = baseline.infer(&x);
-            for n in [1usize, 2, 7] {
-                let mut sharded = PreparedConv::new(desc.clone());
-                sharded.set_row_tile_shards(Some(n));
-                assert_eq!(sharded.row_tile_shards(), n.min(tiles));
-                let got1 = sharded.infer(&x);
-                let got2 = sharded.infer(&x);
-                assert_eq!(got1, want, "shards={n} psq={psq}");
-                assert_eq!(got2, want, "warm-arena shards={n} psq={psq}");
-                sharded.set_row_tile_shards(None);
-                assert_eq!(sharded.row_tile_shards(), 1);
-                assert_eq!(sharded.infer(&x), want, "disable diverged");
+            let want = PreparedConv::new(desc.clone()).infer(&x);
+            for backends in [BackendSet::int(), BackendSet::f32(), BackendSet::scalar()] {
+                let mut prepared = PreparedConv::new(desc.clone());
+                prepared.set_backends(backends.clone()).unwrap();
+                for width in [1usize, 2, 3] {
+                    let pool = cq_tensor::exec::ExecPool::with_threads(width);
+                    let (got1, got2) = pool.install(|| (prepared.infer(&x), prepared.infer(&x)));
+                    assert_eq!(got1, want, "{backends:?} width={width} psq={psq}");
+                    assert_eq!(
+                        got2, want,
+                        "warm-arena {backends:?} width={width} psq={psq}"
+                    );
+                }
             }
         }
     }
 
-    /// Backend selection is pure speed: every backend (and the legacy
-    /// kernel-family selectors) must equal the forced-f32 path
-    /// bit-for-bit, sharded or not, with and without psum quantization.
+    /// Backend selection is pure speed: every backend chain must equal the
+    /// forced-f32 path bit-for-bit, with and without psum quantization.
     #[test]
     fn integer_kernel_is_bit_exact_and_selectable() {
         for psq in [false, true] {
             let desc = small_desc(psq);
             let mut f32_forced = PreparedConv::new(desc.clone());
-            f32_forced.set_psum_kernel(PsumKernel::F32).unwrap();
+            f32_forced.set_backends(BackendSet::f32()).unwrap();
             assert!(!f32_forced.integer_kernel_active());
             assert_eq!(f32_forced.active_backend(), BackendKind::SimdF32);
             let mut int_forced = PreparedConv::new(desc.clone());
-            int_forced.set_psum_kernel(PsumKernel::Int).unwrap();
+            int_forced.set_backends(BackendSet::int()).unwrap();
             assert!(int_forced.integer_kernel_active());
             assert_eq!(int_forced.active_backend(), BackendKind::IntPanels);
             let mut scalar = PreparedConv::new(desc.clone());
             scalar.set_backends(BackendSet::scalar()).unwrap();
             assert_eq!(scalar.active_backend(), BackendKind::Scalar);
             let mut auto = PreparedConv::new(desc.clone());
-            auto.set_psum_kernel(PsumKernel::Auto).unwrap();
-            assert_eq!(auto.psum_kernel(), PsumKernel::Auto);
+            auto.set_backends(BackendSet::auto()).unwrap();
+            assert_eq!(auto.backends(), &BackendSet::auto());
             assert!(auto.integer_kernel_active(), "clean slices must qualify");
             let mut rng = CqRng::new(17);
             let x = rng.normal_tensor(&[2, 7, 6, 6], 1.0).map(|v| v.max(0.0));
@@ -709,49 +437,29 @@ mod tests {
             assert_eq!(int_forced.infer(&x), want, "psq={psq}");
             assert_eq!(scalar.infer(&x), want, "scalar psq={psq}");
             assert_eq!(auto.infer(&x), want, "psq={psq}");
-            // Sharded integer path.
-            let mut sharded = PreparedConv::new(desc);
-            sharded.set_psum_kernel(PsumKernel::Int).unwrap();
-            sharded.set_row_tile_shards(Some(2));
-            assert_eq!(sharded.infer(&x), want, "sharded int psq={psq}");
-            assert_eq!(sharded.infer(&x), want, "warm-arena sharded int psq={psq}");
         }
     }
 
-    /// A placement-aware shard plan running every shard on a *different*
-    /// backend must rejoin bit-exactly, and re-selecting the chain must
-    /// rebuild shard state without drift.
+    /// Re-selecting the backend chain on one frozen layer swaps the
+    /// resolved kernels without drift: every chain in turn must reproduce
+    /// the first output bit-for-bit.
     #[test]
-    fn mixed_backend_placement_is_bit_exact() {
+    fn backend_reselection_is_bit_exact() {
         for psq in [false, true] {
-            let desc = small_desc(psq);
-            let tiles = desc.plan.num_row_tiles;
-            assert_eq!(tiles, 3, "tiny config must have 3 row tiles");
-            let baseline = PreparedConv::new(desc.clone());
+            let mut prepared = PreparedConv::new(small_desc(psq));
             let mut rng = CqRng::new(47);
             let x = rng.normal_tensor(&[2, 7, 6, 6], 1.0).map(|v| v.max(0.0));
-            let want = baseline.infer(&x);
-            let mut placed = PreparedConv::new(desc.clone());
-            let plan = ShardPlan::split(tiles, 3).with_placement(vec![
-                BackendKind::IntPanels,
-                BackendKind::Scalar,
-                BackendKind::SimdF32,
-            ]);
-            placed.set_shard_plan(Some(plan.clone())).unwrap();
-            assert_eq!(placed.shard_plan(), Some(&plan));
-            assert_eq!(placed.infer(&x), want, "mixed placement psq={psq}");
-            assert_eq!(placed.infer(&x), want, "warm-arena mixed placement");
-            // Chain re-selection rebuilds shard artifacts consistently.
-            placed.set_backends(BackendSet::f32()).unwrap();
-            assert_eq!(placed.infer(&x), want, "rebuilt shards diverged");
-            // A trivial placed plan pins the whole sweep onto one backend.
-            let mut pinned = PreparedConv::new(desc);
-            pinned
-                .set_shard_plan(Some(
-                    ShardPlan::split(tiles, 1).with_placement(vec![BackendKind::Scalar]),
-                ))
-                .unwrap();
-            assert_eq!(pinned.infer(&x), want, "pinned scalar shard psq={psq}");
+            let want = prepared.infer(&x);
+            for backends in [
+                BackendSet::int(),
+                BackendSet::scalar(),
+                BackendSet::f32(),
+                BackendSet::auto(),
+            ] {
+                prepared.set_backends(backends.clone()).unwrap();
+                assert_eq!(prepared.backends(), &backends);
+                assert_eq!(prepared.infer(&x), want, "{backends:?} psq={psq}");
+            }
         }
     }
 
@@ -762,40 +470,31 @@ mod tests {
     fn variation_falls_back_to_f32() {
         let desc = small_desc(true);
         let mut auto = PreparedConv::with_slice_transform(desc.clone(), |_, s| s.scale(1.37));
-        auto.set_psum_kernel(PsumKernel::Auto).unwrap();
+        auto.set_backends(BackendSet::auto()).unwrap();
         assert!(
             !auto.integer_kernel_active(),
             "off-integer slices must disqualify the integer kernel"
         );
         let mut f32_forced = PreparedConv::with_slice_transform(desc, |_, s| s.scale(1.37));
-        f32_forced.set_psum_kernel(PsumKernel::F32).unwrap();
+        f32_forced.set_backends(BackendSet::f32()).unwrap();
         let mut rng = CqRng::new(19);
         let x = rng.normal_tensor(&[1, 7, 6, 6], 1.0).map(|v| v.max(0.0));
         assert_eq!(auto.infer(&x), f32_forced.infer(&x));
     }
 
     /// Forcing the integer backend on variation-perturbed slices is a
-    /// recoverable error (the PR 5 `ConfigError` convention), and an
-    /// integer placement on such a layer is rejected the same way —
-    /// leaving the previous configuration intact either way.
+    /// recoverable error (the `ConfigError` convention) that leaves the
+    /// previous configuration intact.
     #[test]
     fn ineligible_backend_selection_is_an_error() {
         let mut prepared =
             PreparedConv::with_slice_transform(small_desc(false), |_, s| s.scale(1.37));
-        prepared.set_psum_kernel(PsumKernel::F32).unwrap();
-        let err = prepared.set_psum_kernel(PsumKernel::Int).unwrap_err();
+        prepared.set_backends(BackendSet::f32()).unwrap();
+        let err = prepared.set_backends(BackendSet::int()).unwrap_err();
         assert_eq!(err, BackendError::NoBackend(vec![BackendKind::IntPanels]));
         assert!(err.to_string().contains("not integer-eligible"));
-        assert_eq!(prepared.psum_kernel(), PsumKernel::F32, "config clobbered");
-        let tiles = prepared.desc().plan.num_row_tiles;
-        let err = prepared
-            .set_shard_plan(Some(
-                ShardPlan::split(tiles, 2)
-                    .with_placement(vec![BackendKind::IntPanels, BackendKind::SimdF32]),
-            ))
-            .unwrap_err();
-        assert_eq!(err, BackendError::Unsupported(BackendKind::IntPanels));
-        assert_eq!(prepared.row_tile_shards(), 1, "shard state clobbered");
+        assert_eq!(prepared.backends(), &BackendSet::f32(), "config clobbered");
+        assert_eq!(prepared.active_backend(), BackendKind::SimdF32);
     }
 
     #[test]

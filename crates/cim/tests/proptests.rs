@@ -5,7 +5,7 @@
 //! (the external `proptest` crate is not vendored); every assertion
 //! carries its case seed for replay.
 
-use cq_cim::{dequant_mults, CimConfig, Crossbar, ShardPlan, TilingPlan};
+use cq_cim::{dequant_mults, CimConfig, Crossbar, TilingPlan};
 use cq_quant::Granularity;
 use cq_tensor::CqRng;
 
@@ -145,58 +145,5 @@ fn weight_layout_consistent() {
             p.weight_group_count(Granularity::Column),
             "case {case}"
         );
-    }
-}
-
-/// `ShardPlan::split` partitions row tiles exactly: shards are disjoint,
-/// contiguous, cover every tile, never empty, balanced to within one item,
-/// and a shard count above the tile count clamps instead of producing
-/// empty shards.
-#[test]
-fn shard_plan_split_partitions_row_tiles() {
-    for case in 0..CASES {
-        let mut rng = CqRng::new(0x5A4D + case);
-        let tiles = 1 + rng.below(97);
-        let requested = 1 + rng.below(23);
-        let p = ShardPlan::split(tiles, requested);
-        assert_eq!(p.num_items(), tiles, "case {case}");
-        assert_eq!(p.num_shards(), requested.min(tiles), "case {case}");
-        // Disjoint + covering: ranges are contiguous and ascending, each
-        // tile lands in exactly one shard.
-        let mut seen = vec![0usize; tiles];
-        let mut next = 0;
-        for r in p.iter() {
-            assert_eq!(r.start, next, "case {case}: gap or overlap");
-            assert!(!r.is_empty(), "case {case}: empty shard");
-            for t in r.clone() {
-                seen[t] += 1;
-            }
-            next = r.end;
-        }
-        assert_eq!(next, tiles, "case {case}: tail uncovered");
-        assert!(seen.iter().all(|&s| s == 1), "case {case}");
-        // Balanced: sizes differ by at most one.
-        let sizes: Vec<usize> = p.iter().map(|r| r.len()).collect();
-        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        assert!(max - min <= 1, "case {case}: unbalanced {sizes:?}");
-    }
-}
-
-/// `ShardPlan::split_max` respects the configured maximum shard size and
-/// uses the fewest shards that do so.
-#[test]
-fn shard_plan_split_max_respects_bound() {
-    for case in 0..CASES {
-        let mut rng = CqRng::new(0x5A4E + case);
-        let tiles = 1 + rng.below(97);
-        let max_shard = 1 + rng.below(17);
-        let p = ShardPlan::split_max(tiles, max_shard);
-        assert!(
-            p.iter().all(|r| r.len() <= max_shard),
-            "case {case}: shard over bound"
-        );
-        assert_eq!(p.num_shards(), tiles.div_ceil(max_shard), "case {case}");
-        let covered: usize = p.iter().map(|r| r.len()).sum();
-        assert_eq!(covered, tiles, "case {case}");
     }
 }

@@ -37,8 +37,7 @@ use std::collections::HashMap;
 
 use cq_cim::{
     dequant_mults, Adc, AdcDigitizer, BackendError, BackendKind, BackendSet, CimConfig,
-    HybridDigitizer, IdealDigitizer, PreparedConv, PsumKernel, PsumPipeline, QuantizedConv,
-    ShardPlan, TilingPlan,
+    HybridDigitizer, IdealDigitizer, PreparedConv, PsumPipeline, QuantizedConv, TilingPlan,
 };
 use cq_nn::{
     accumulate_bias_grad, add_channel_bias, kaiming_conv_init, Layer, Mode, Param, ParamKind,
@@ -139,9 +138,6 @@ pub struct CimConv2d {
     fp_cache: Option<Tensor>,
     p_layout_cache: HashMap<usize, Vec<GroupLayout>>,
     frozen: Option<FrozenConv>,
-    /// Row-tile shard count applied to the frozen executor (kept across
-    /// re-freezes). `None` = unsharded.
-    row_tile_shards: Option<usize>,
     /// Execution-backend chain applied to the frozen executor (kept
     /// across re-freezes).
     backends: BackendSet,
@@ -203,7 +199,6 @@ impl CimConv2d {
             fp_cache: None,
             p_layout_cache: HashMap::new(),
             frozen: None,
-            row_tile_shards: None,
             backends: BackendSet::standard(),
             cfg,
         }
@@ -660,46 +655,10 @@ impl CimConv2d {
                 "binary-weight layer must be IntPanels-eligible"
             );
         }
-        prepared.set_row_tile_shards(self.row_tile_shards);
         prepared
             .set_backends(self.backends.clone())
             .expect("configured backend chain cannot execute the frozen layer");
         self.frozen = Some(FrozenConv::new(prepared));
-    }
-
-    /// Sets the row-tile shard count of the frozen executor (see
-    /// [`PreparedConv::set_row_tile_shards`] — bit-identical to unsharded
-    /// execution for every count). Applies to the current frozen state, if
-    /// any, and persists across re-freezes. `None` disables sharding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == Some(0)`.
-    pub fn set_row_tile_shards(&mut self, shards: Option<usize>) {
-        assert!(shards != Some(0), "shard count must be positive");
-        self.row_tile_shards = shards;
-        if let Some(fr) = &mut self.frozen {
-            fr.prepared.set_row_tile_shards(shards);
-        }
-    }
-
-    /// Installs an explicit — optionally placement-aware — row-tile shard
-    /// plan on the **current** frozen executor (see
-    /// [`PreparedConv::set_shard_plan`]); a no-op when unfrozen, and not
-    /// persisted across re-freezes (plans are geometry-specific; use
-    /// [`set_row_tile_shards`](CimConv2d::set_row_tile_shards) for a
-    /// persistent count).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::Unsupported`] when a placed backend's capability
-    /// probe rejects this layer; the previous shard state is left
-    /// untouched.
-    pub fn set_shard_plan(&mut self, plan: Option<ShardPlan>) -> Result<(), BackendError> {
-        match &mut self.frozen {
-            Some(fr) => fr.prepared.set_shard_plan(plan),
-            None => Ok(()),
-        }
     }
 
     /// Selects the execution-backend chain of the frozen executor (see
@@ -724,23 +683,6 @@ impl CimConv2d {
     /// The configured execution-backend chain.
     pub fn backends(&self) -> &BackendSet {
         &self.backends
-    }
-
-    /// Compat selector for the legacy kernel-family enum: equivalent to
-    /// `set_backends(kernel.into())`.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::NoBackend`] on [`PsumKernel::Int`] when the layer
-    /// is frozen and its slices are not integer-eligible (e.g. under
-    /// device variation).
-    pub fn set_psum_kernel(&mut self, kernel: PsumKernel) -> Result<(), BackendError> {
-        self.set_backends(kernel.into())
-    }
-
-    /// The legacy [`PsumKernel`] view of the configured chain.
-    pub fn psum_kernel(&self) -> PsumKernel {
-        self.backends.as_psum_kernel()
     }
 
     /// The backend the frozen executor resolved (`None` when unfrozen).

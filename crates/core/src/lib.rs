@@ -52,8 +52,7 @@ pub use cim_linear::CimLinear;
 // re-exported here because it is the framework's central abstraction).
 pub use cq_cim::{
     backend_instance, AdcDigitizer, BackendError, BackendKind, BackendSet, ColumnDigitizer,
-    ConvProfile, ExecBackend, IdealDigitizer, PerturbedDigitizer, PsumKernel, PsumPipeline,
-    ShardPlan,
+    ConvProfile, ExecBackend, IdealDigitizer, PerturbedDigitizer, PsumPipeline,
 };
 pub use model::{
     accelerator_report, build_cim_resnet, count_cim_convs, for_each_cim_conv, load_cim_checkpoint,

@@ -26,7 +26,7 @@
 //! depth and pool width — pipelining reschedules work, never arithmetic.
 
 use crate::{for_each_cim_conv, load_cim_checkpoint};
-use cq_cim::{BackendError, BackendKind, BackendSet, PsumKernel};
+use cq_cim::{BackendError, BackendKind, BackendSet};
 use cq_nn::{Layer, Mode};
 use cq_tensor::{exec, Tensor};
 use std::ops::Range;
@@ -138,13 +138,12 @@ impl PreparedCimModel {
     }
 
     /// Serves one batch through **shared state** (`&self`): several
-    /// threads may call this concurrently on one prepared model — the
-    /// execution path behind batch-segment sharding, where serve workers
-    /// cooperate on disjoint row segments of a single oversized sweep.
-    /// Multi-row batches are cross-layer pipelined per
-    /// [`set_pipeline_depth`](Self::set_pipeline_depth). Bit-identical to
-    /// [`PreparedCimModel::infer`] (pinned by tests); note it does **not**
-    /// apply `max_batch` chunking — callers shard rows themselves.
+    /// threads may call this concurrently on one prepared model. It is
+    /// also the body of the cross-layer pipeline: multi-row batches are
+    /// split into waves per [`set_pipeline_depth`](Self::set_pipeline_depth)
+    /// and each wave runs this shared-eval forward as a pool task.
+    /// Bit-identical to [`PreparedCimModel::infer`] (pinned by tests); it
+    /// does **not** apply `max_batch` chunking.
     ///
     /// # Panics
     ///
@@ -190,15 +189,6 @@ impl PreparedCimModel {
         }
     }
 
-    /// Sets the row-tile shard count of every frozen CIM convolution (see
-    /// [`crate::CimConv2d::set_row_tile_shards`]): the grouped-conv
-    /// front-end of each layer then executes as that many independent
-    /// row-tile shards, rejoined bit-exactly before the canonical reduce.
-    /// `None` disables sharding. Outputs are bit-identical either way.
-    pub fn set_row_tile_shards(&mut self, shards: Option<usize>) {
-        for_each_cim_conv(self.model.as_mut(), |c| c.set_row_tile_shards(shards));
-    }
-
     /// Selects the execution-backend chain of every frozen CIM
     /// convolution (see [`crate::CimConv2d::set_backends`]): each layer
     /// resolves the first chain entry whose capability probe accepts it
@@ -224,16 +214,6 @@ impl PreparedCimModel {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// Compat selector for the legacy kernel-family enum: equivalent to
-    /// `set_backends(kernel.into())`.
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedCimModel::set_backends`].
-    pub fn set_psum_kernel(&mut self, kernel: PsumKernel) -> Result<(), BackendError> {
-        self.set_backends(kernel.into())
     }
 
     /// The quantization-scheme name of the model's CIM layers: the first

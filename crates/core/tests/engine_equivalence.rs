@@ -7,7 +7,7 @@
 //! partial-sum quantization — on **all three execution backends**
 //! (`ScalarRef` loop-nest oracle, `SimdF32`, `IntPanels`).
 
-use cq_cim::{BackendKind, BackendSet, CimConfig, CrossbarLayer, PreparedConv, PsumKernel};
+use cq_cim::{BackendKind, BackendSet, CimConfig, CrossbarLayer, PreparedConv};
 use cq_core::CimConv2d;
 use cq_nn::{Layer, Mode};
 use cq_quant::Granularity;
@@ -58,7 +58,7 @@ fn check_equivalence(cfg: CimConfig, in_ch: usize, out_ch: usize, stride: usize,
             // succeed and match the f32 oracle bit-for-bit, and both fast
             // backends must match the scalar loop-nest reference.
             let mut prepared = PreparedConv::new(layer.to_quantized_conv());
-            prepared.set_psum_kernel(PsumKernel::F32).unwrap();
+            prepared.set_backends(BackendSet::f32()).unwrap();
             assert!(!prepared.integer_kernel_active());
             assert_eq!(prepared.active_backend(), BackendKind::SimdF32);
             let served_f32 = prepared.infer(&x);
@@ -66,7 +66,7 @@ fn check_equivalence(cfg: CimConfig, in_ch: usize, out_ch: usize, stride: usize,
                 fast, served_f32,
                 "PreparedConv f32 mismatch at w={w_gran} p={p_gran} psq={psq}"
             );
-            prepared.set_psum_kernel(PsumKernel::Int).unwrap();
+            prepared.set_backends(BackendSet::int()).unwrap();
             assert!(prepared.integer_kernel_active());
             assert_eq!(prepared.active_backend(), BackendKind::IntPanels);
             let served_int = prepared.infer(&x);
@@ -77,8 +77,7 @@ fn check_equivalence(cfg: CimConfig, in_ch: usize, out_ch: usize, stride: usize,
             prepared.set_backends(BackendSet::scalar()).unwrap();
             assert!(!prepared.integer_kernel_active());
             assert_eq!(prepared.active_backend(), BackendKind::Scalar);
-            // The compat view reports the scalar chain as the f32 family.
-            assert_eq!(prepared.psum_kernel(), PsumKernel::F32);
+            assert_eq!(prepared.backends(), &BackendSet::scalar());
             let served_scalar = prepared.infer(&x);
             assert_eq!(
                 fast, served_scalar,
@@ -103,7 +102,7 @@ fn check_equivalence(cfg: CimConfig, in_ch: usize, out_ch: usize, stride: usize,
                 assert_eq!(
                     layer.integer_kernel_active(),
                     kind == BackendKind::IntPanels,
-                    "integer-kernel compat flag disagrees with the active backend"
+                    "integer-kernel flag disagrees with the active backend"
                 );
                 let frozen1 = layer.forward(&x, Mode::Eval);
                 let frozen2 = layer.forward(&x, Mode::Eval);
@@ -311,5 +310,84 @@ fn scheme_axis_bit_exact_across_engines_and_backends() {
             let frozen = layer.forward(&x, Mode::Eval);
             assert_eq!(fast, frozen, "{name}: frozen {kind:?} diverged");
         }
+    }
+}
+
+/// **Mixed-scheme multi-model serving**: one resident model per scheme
+/// (paper LSQ column-wise, BWMA, hybrid-ADC) in a single two-worker
+/// session. Every request — small and oversized — must come back
+/// bit-identical to the standalone whole-model forward of the scheme that
+/// served it, and the final stats must attribute images to all three
+/// schemes.
+#[test]
+fn mixed_scheme_multi_model_serve_matches_whole_model() {
+    use cq_core::{build_cim_resnet, PreparedCimModel, QuantScheme};
+    use cq_nn::ResNetSpec;
+    use cq_serve::{CimServer, ModelRegistry, Request, ServeConfig};
+
+    let schemes = [
+        QuantScheme::ours(),
+        QuantScheme::bwma(),
+        QuantScheme::hybrid_adc(),
+    ];
+    let build = |scheme: &QuantScheme, seed: u64| {
+        let mut net = build_cim_resnet(ResNetSpec::resnet8(4, 4), &CimConfig::tiny(), scheme, seed);
+        let warm = CqRng::new(seed + 1000).normal_tensor(&[2, 3, 12, 12], 1.0);
+        let _ = net.forward(&warm, Mode::Eval);
+        net
+    };
+    let mut refs = Vec::new();
+    let mut registry = ModelRegistry::new();
+    for (i, scheme) in schemes.iter().enumerate() {
+        let seed = 6100 + 10 * i as u64;
+        // Construction is deterministic per seed: the reference net and
+        // the served twin are bit-identical models.
+        refs.push(build(scheme, seed));
+        registry.register(
+            scheme.name.clone(),
+            PreparedCimModel::new(Box::new(build(scheme, seed))),
+        );
+    }
+    let session = CimServer::new(
+        registry,
+        ServeConfig::builder()
+            .workers(2)
+            .max_batch(Some(3))
+            .build()
+            .unwrap(),
+    )
+    .start();
+
+    let rng = &mut CqRng::new(6200);
+    let mut tickets = Vec::new();
+    for batch in [1usize, 7] {
+        for (i, scheme) in schemes.iter().enumerate() {
+            let x = rng.normal_tensor(&[batch, 3, 12, 12], 1.0);
+            let t = session
+                .submit(Request::to(scheme.name.as_str()).batch(x.clone()))
+                .unwrap();
+            tickets.push((i, x, t));
+        }
+    }
+    for (i, x, t) in tickets {
+        let want = refs[i].forward(&x, Mode::Eval);
+        assert_eq!(
+            t.wait().output,
+            want,
+            "scheme '{}' diverged from its whole-model forward under \
+             mixed-scheme serving",
+            schemes[i].name
+        );
+    }
+
+    let (stats, _models) = session.shutdown();
+    let by_scheme = stats.images_by_scheme();
+    for scheme in &schemes {
+        let images = by_scheme
+            .iter()
+            .find(|(s, _)| s == &scheme.name)
+            .map(|(_, n)| *n)
+            .unwrap_or(0);
+        assert_eq!(images, 8, "scheme '{}' image attribution", scheme.name);
     }
 }

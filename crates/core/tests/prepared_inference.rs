@@ -3,13 +3,18 @@
 //! × weight granularity × psum granularity × digitizer {ideal ADC bypass,
 //! behavioural ADC, weight-side device variation} — and idempotent across
 //! repeated `infer_batch` calls on one `PreparedCimModel`.
+//!
+//! The one way a frozen sweep runs in parallel — pool-scheduled kernel
+//! work items plus cross-layer wave pipelining — is pinned here too: every
+//! backend chain × pipeline depth × executor pool width reproduces the
+//! same bits.
 
 use cq_cim::CimConfig;
 use cq_core::{
-    build_cim_resnet, for_each_cim_conv, CimConv2d, PreparedCimModel, QuantScheme, VariationCfg,
-    VariationMode,
+    build_cim_resnet, for_each_cim_conv, set_psum_quant_enabled, set_variation, BackendSet,
+    CimConv2d, PreparedCimModel, QuantScheme, VariationCfg, VariationMode,
 };
-use cq_nn::{Layer, Mode};
+use cq_nn::{Layer, Mode, ResNetSpec};
 use cq_quant::Granularity;
 use cq_tensor::{CqRng, Tensor};
 
@@ -111,12 +116,12 @@ fn frozen_cell_output(
     layer.forward(&x, Mode::Eval)
 }
 
-/// The pooled executor must be bit-identical to spawn-per-call scoped
-/// threads (the pre-pool execution shape) over the full scheme matrix,
-/// at pool widths 1, 2, and the machine's parallelism.
+/// The pooled executor must be bit-identical at every pool width over
+/// the full scheme matrix: widths 2 and the machine's parallelism must
+/// reproduce the single-worker pool's output for every cell.
 #[test]
-fn pooled_executor_matches_spawn_per_call_across_widths() {
-    use cq_tensor::exec::{self, Backend, ExecPool};
+fn pooled_executor_is_bit_exact_across_widths() {
+    use cq_tensor::exec::ExecPool;
     let mut cells = Vec::new();
     let mut seed = 900;
     for w_gran in Granularity::ALL {
@@ -132,19 +137,17 @@ fn pooled_executor_matches_spawn_per_call_across_widths() {
             }
         }
     }
-    // Reference: every scope spawns OS threads, as the kernels did before
-    // the persistent pool. (Backend choice never changes arithmetic, so
-    // flipping the global here is benign for concurrently running tests.)
-    exec::set_backend(Backend::SpawnPerCall);
-    let want: Vec<Tensor> = cells
-        .iter()
-        .map(|&(w, p, d, s)| frozen_cell_output(w, p, d, s))
-        .collect();
-    exec::set_backend(Backend::Pooled);
+    // Reference: one worker, so every work item runs in sequence.
+    let want: Vec<Tensor> = ExecPool::with_threads(1).install(|| {
+        cells
+            .iter()
+            .map(|&(w, p, d, s)| frozen_cell_output(w, p, d, s))
+            .collect()
+    });
     let ncpu = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    for width in [1, 2, ncpu] {
+    for width in [2, ncpu] {
         let pool = ExecPool::with_threads(width);
         pool.install(|| {
             for (&(w, p, d, s), want) in cells.iter().zip(&want) {
@@ -250,4 +253,112 @@ fn prepared_model_idempotent_and_coalescing_exact() {
     // Chunked coalescing (micro-batch cap) is equally exact.
     pm.set_max_batch(Some(3));
     assert_eq!(pm.infer_batch(&requests), want, "chunked sweep diverged");
+}
+
+/// A whole CIM ResNet-8 frozen for serving: psq on/off, one granularity
+/// for weights and psums, optionally with per-cell device variation baked
+/// into the frozen weights, every lazy scale initialized.
+fn prepared_model(psq: bool, gran: Granularity, variation: bool, seed: u64) -> PreparedCimModel {
+    let mut net = build_cim_resnet(
+        ResNetSpec::resnet8(4, 4),
+        &CimConfig::tiny(),
+        &QuantScheme::custom(gran, gran),
+        seed,
+    );
+    if !psq {
+        set_psum_quant_enabled(&mut net, false);
+    }
+    if variation {
+        set_variation(&mut net, Some(0.15), VariationMode::PerCell, 77);
+    }
+    let warm = CqRng::new(seed + 1000).normal_tensor(&[2, 3, 12, 12], 1.0);
+    let _ = net.forward(&warm, Mode::Eval);
+    PreparedCimModel::new(Box::new(net))
+}
+
+/// A small and an oversized request: with `max_batch = 3` the second is
+/// chunked, so pipelining composes with the coalescing/chunking path.
+fn mixed_requests(seed: u64) -> [Tensor; 2] {
+    let rng = &mut CqRng::new(seed);
+    [
+        rng.normal_tensor(&[1, 3, 12, 12], 1.0),
+        rng.normal_tensor(&[7, 3, 12, 12], 1.0),
+    ]
+}
+
+/// psq {off, on} × granularity × {clean, variation} × backend chain ×
+/// pipeline depth {1, 2, 3}: every cell of the pipelined whole-model
+/// engine must equal the unpipelined forced-f32 oracle bit-for-bit, on the
+/// batched and on the shared (`&self`) path. Under the `auto` chain clean
+/// cells run the integer panels in every conv and variation cells fall
+/// back to f32 in every conv.
+#[test]
+fn pipelined_model_matrix_is_bit_exact_on_every_backend() {
+    let mut seed = 9000;
+    for psq in [false, true] {
+        for gran in Granularity::ALL {
+            for variation in [false, true] {
+                let ctx = format!("psq={psq} gran={gran} variation={variation}");
+                let requests = mixed_requests(seed + 2000);
+                let mut pm = prepared_model(psq, gran, variation, seed);
+                pm.set_max_batch(Some(3));
+                pm.set_backends(BackendSet::f32()).unwrap();
+                pm.set_pipeline_depth(1);
+                let want = pm.infer_batch(&requests);
+                for backends in [BackendSet::f32(), BackendSet::auto(), BackendSet::scalar()] {
+                    pm.set_backends(backends.clone()).unwrap();
+                    let (active, total) = pm.count_integer_kernels();
+                    assert!(total > 0, "{ctx}: no frozen convs counted");
+                    let expect = if backends == BackendSet::auto() && !variation {
+                        total
+                    } else {
+                        0
+                    };
+                    assert_eq!(active, expect, "{ctx} {backends:?}: integer-kernel count");
+                    for depth in [1usize, 2, 3] {
+                        pm.set_pipeline_depth(depth);
+                        let ctx = format!("{ctx} {backends:?} depth={depth}");
+                        assert_eq!(pm.infer_batch(&requests), want, "{ctx}: infer_batch");
+                        for (req, w) in requests.iter().zip(&want) {
+                            assert_eq!(&pm.infer_shared(req), w, "{ctx}: infer_shared");
+                        }
+                    }
+                }
+                seed += 100;
+            }
+        }
+    }
+}
+
+/// A representative pipelined cell must be bit-identical across executor
+/// pool widths 1, 2 and the machine parallelism: kernel work items and
+/// pipeline waves reschedule with the pool, the bits never move.
+#[test]
+fn pipelined_cell_is_bit_exact_at_every_pool_width() {
+    let requests = mixed_requests(31416);
+    let ncpu = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
+    let mut outputs: Vec<(usize, Vec<Tensor>)> = Vec::new();
+    for width in [1, 2, ncpu] {
+        let pool = cq_tensor::exec::ExecPool::with_threads(width);
+        let got = pool.install(|| {
+            // Rebuilt per width: construction is deterministic per seed.
+            let mut pm = prepared_model(true, Granularity::Column, false, 31415);
+            pm.set_max_batch(Some(3));
+            pm.set_pipeline_depth(3);
+            let got = pm.infer_batch(&requests);
+            assert_eq!(
+                got,
+                pm.infer_batch(&requests),
+                "width {width}: not idempotent"
+            );
+            got
+        });
+        outputs.push((width, got));
+    }
+    let (w0, base) = &outputs[0];
+    for (w, got) in &outputs[1..] {
+        assert_eq!(got, base, "pool width {w} diverged from width {w0}");
+    }
 }

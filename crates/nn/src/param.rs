@@ -88,17 +88,17 @@ pub enum Mode {
 /// Layers are `Send + Sync` so whole models can move between (and be
 /// served from) worker threads — e.g. the `cq-serve` front-end parks each
 /// registered `PreparedCimModel` behind a lock that any worker may drain
-/// batches into, and sharded serving runs [`Layer::forward_shared`] from
-/// several workers at once through a read lock. Every layer in this
-/// workspace is plain owned data (frozen CIM convolutions guard their
-/// scratch pool with a mutex), so the bounds cost nothing.
+/// batches into, and the pipelined frozen engine runs
+/// [`Layer::forward_shared`] from several pool tasks at once. Every layer
+/// in this workspace is plain owned data (frozen CIM convolutions guard
+/// their scratch pool with a mutex), so the bounds cost nothing.
 pub trait Layer: std::any::Any + Send + Sync {
     /// Runs the layer on `x`.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
 
     /// Eval-mode forward through shared state (`&self`), for **concurrent
     /// serving**: several threads may call it on one layer at once (e.g.
-    /// batch-segment shards of one oversized sweep). Must be
+    /// the concurrent waves of one pipelined sweep). Must be
     /// **bit-identical** to `forward(x, Mode::Eval)`.
     ///
     /// Returns `None` when this layer (or any descendant) cannot serve

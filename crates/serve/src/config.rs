@@ -3,7 +3,7 @@
 //! the strict Latency≻Bulk priority order is tempered by aging.
 
 use crate::queue::Admission;
-use cq_core::{BackendError, BackendSet, PsumKernel};
+use cq_core::{BackendError, BackendSet};
 use std::fmt;
 use std::time::Duration;
 
@@ -21,8 +21,8 @@ pub enum SchedulerPolicy {
     /// latency arrivals (and is served FIFO from its head), so bulk
     /// traffic has a provable starvation bound — every admitted bulk
     /// request is picked up within `bulk_max_age / weight` of submission,
-    /// plus the sweep (or in-flight shard) a worker is already executing
-    /// and the bulk requests queued ahead of it (bounded by
+    /// plus the sweep a worker is already executing and the bulk requests
+    /// queued ahead of it (bounded by
     /// [`ServeConfig::queue_capacity`]). The whole bulk deque is
     /// scanned — not just its head — so a fast-aging request queued
     /// behind a slow-aging one still trips the promotion on its own
@@ -139,18 +139,11 @@ pub enum ConfigError {
     ZeroQueueCapacity,
     /// `max_batch` was `Some(0)`.
     ZeroMaxBatch,
-    /// `shard_rows` was `Some(0)`.
-    ZeroShardRows,
-    /// `row_tile_shards` was `Some(0)`.
-    ZeroRowTileShards,
     /// [`SchedulerPolicy::Aging`] carried a zero `bulk_max_age`.
     ZeroBulkMaxAge,
     /// A [`ServeConfig::scheme_allowlist`] entry was the empty string —
     /// it could never match a scheme name.
     EmptySchemeAllowlistEntry,
-    /// [`CimServer::set_config`](crate::CimServer::set_config) was called
-    /// while a serving session still holds the server's shared state.
-    SessionActive,
     /// The configured [`ServeConfig::backends`] chain cannot execute some
     /// resident model layer (see [`BackendError`]) — e.g. a bare
     /// `BackendSet::int()` over a model frozen under device variation.
@@ -187,14 +180,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroQueueCapacity => "queue capacity must be positive",
             ConfigError::ZeroMaxBatch => "max_batch must be positive",
-            ConfigError::ZeroShardRows => "shard_rows must be positive",
-            ConfigError::ZeroRowTileShards => "row_tile_shards must be positive",
             ConfigError::ZeroBulkMaxAge => "bulk_max_age must be positive",
             ConfigError::EmptySchemeAllowlistEntry => {
                 "scheme_allowlist entries must be non-empty scheme names"
-            }
-            ConfigError::SessionActive => {
-                "config can only change between sessions: a serving session is still active"
             }
             ConfigError::Backend(err) => return write!(f, "backend chain rejected: {err}"),
         })
@@ -248,25 +236,6 @@ pub struct ServeConfig {
     /// tenants not listed here — including untagged requests — get
     /// weight 1 and no quotas.
     pub tenants: Vec<TenantSpec>,
-    /// **Batch-segment sharding**: a sweep with more rows than this is
-    /// split into segments published to the shard pool, where every
-    /// worker — the coordinator included — steals and executes them
-    /// concurrently before the bit-exact rejoin. Segments carry at most
-    /// `min(shard_rows, max_batch)` rows, so the sweep cap stays in
-    /// force on the sharded path too. Shards inherit their request's
-    /// [`Slo`](crate::Slo) class for scheduling. `None` disables sharding
-    /// (each sweep runs on one worker).
-    pub shard_rows: Option<usize>,
-    /// **Row-tile sharding**: splits every frozen convolution's
-    /// grouped-conv front-end into this many independent row-tile shards
-    /// (clamped per layer; see
-    /// [`cq_core::PreparedCimModel::set_row_tile_shards`]). `None`
-    /// disables it. Bit-identical either way. Shard tasks and the conv
-    /// kernels both run on the shared `CQ_THREADS`-capped
-    /// `cq_tensor::exec` pool, so compute parallelism stays at
-    /// `CQ_THREADS` regardless of `workers × shards` — no multiplicative
-    /// budgeting needed.
-    pub row_tile_shards: Option<usize>,
     /// How latency work is ordered against bulk work (strict priority, or
     /// strict-with-aging for a bulk starvation bound).
     pub policy: SchedulerPolicy,
@@ -308,8 +277,6 @@ impl Default for ServeConfig {
             scale_up_after: Duration::from_millis(2),
             scale_down_idle: Duration::from_millis(50),
             tenants: Vec::new(),
-            shard_rows: None,
-            row_tile_shards: None,
             policy: SchedulerPolicy::Strict,
             backends: BackendSet::standard(),
             scheme_allowlist: Vec::new(),
@@ -323,12 +290,6 @@ impl ServeConfig {
         ServeConfigBuilder {
             cfg: Self::default(),
         }
-    }
-
-    /// The legacy [`PsumKernel`] view of the configured backend chain
-    /// (see [`BackendSet::as_psum_kernel`]).
-    pub fn psum_kernel(&self) -> PsumKernel {
-        self.backends.as_psum_kernel()
     }
 
     /// Checks every invariant the server relies on.
@@ -365,12 +326,6 @@ impl ServeConfig {
         }
         if self.max_batch == Some(0) {
             return Err(ConfigError::ZeroMaxBatch);
-        }
-        if self.shard_rows == Some(0) {
-            return Err(ConfigError::ZeroShardRows);
-        }
-        if self.row_tile_shards == Some(0) {
-            return Err(ConfigError::ZeroRowTileShards);
         }
         if self.policy.bulk_max_age() == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroBulkMaxAge);
@@ -450,29 +405,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Batch-segment sharding bound (`None` disables).
-    pub fn shard_rows(mut self, shard_rows: Option<usize>) -> Self {
-        self.cfg.shard_rows = shard_rows;
-        self
-    }
-
-    /// Row-tile shards per frozen convolution (`None` disables).
-    pub fn row_tile_shards(mut self, shards: Option<usize>) -> Self {
-        self.cfg.row_tile_shards = shards;
-        self
-    }
-
     /// Execution-backend fallback chain for every resident model.
     pub fn backends(mut self, backends: BackendSet) -> Self {
         self.cfg.backends = backends;
         self
-    }
-
-    /// Legacy kernel-family shorthand: installs the [`BackendSet`] the
-    /// given [`PsumKernel`] maps to (`Auto` → auto chain, `F32` → f32
-    /// only, `Int` → int only).
-    pub fn psum_kernel(self, kernel: PsumKernel) -> Self {
-        self.backends(kernel.into())
     }
 
     /// Quantization-scheme allowlist for live registration (empty admits
@@ -524,27 +460,12 @@ mod tests {
     }
 
     #[test]
-    fn psum_kernel_setter_installs_the_mapped_chain() {
-        let cfg = ServeConfig::builder()
-            .psum_kernel(PsumKernel::F32)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.backends, BackendSet::f32());
-        assert_eq!(cfg.psum_kernel(), PsumKernel::F32);
-    }
-
-    #[test]
     fn backends_setter_installs_the_chain() {
         let cfg = ServeConfig::builder()
             .backends(BackendSet::scalar())
             .build()
             .unwrap();
         assert_eq!(cfg.backends, BackendSet::scalar());
-        assert_eq!(
-            cfg.psum_kernel(),
-            PsumKernel::F32,
-            "non-integer chains report the F32 compat view"
-        );
     }
 
     #[test]
@@ -558,14 +479,6 @@ mod tests {
             (
                 ServeConfig::builder().max_batch(Some(0)),
                 ConfigError::ZeroMaxBatch,
-            ),
-            (
-                ServeConfig::builder().shard_rows(Some(0)),
-                ConfigError::ZeroShardRows,
-            ),
-            (
-                ServeConfig::builder().row_tile_shards(Some(0)),
-                ConfigError::ZeroRowTileShards,
             ),
             (
                 ServeConfig::builder().bulk_max_age(Duration::ZERO),

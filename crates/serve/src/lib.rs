@@ -9,26 +9,26 @@
 //!  many in-flight)          ┌──────────────────────────────────────────────┐
 //!  ───────────────────┐     │ RequestQueue (bounded; Block | Reject)       │
 //!  session.submit(    ├────►│  ├ Latency deque   (priority)                │
-//!   Request::to(..)   │     │  ├ Bulk deque      (FIFO + aging; linger     │
-//!    .batch(x).slo(..)│     │  │                  ≤ max_wait)              │
-//!    .deadline(..)    │     │  └ Shard pool      (work-stealing segments)  │
-//!    .weight(..))     │     └───────────────┬──────────────────────────────┘
-//!  ───────────────────┘                     │ BatchScheduler per worker:
-//!        │ Ticket                           │ shards ≻ aged bulk ≻ latency
-//!        ▼                                  │ ≻ bulk; latency arrivals
-//!  CompletionSet::wait_any()                │ preempt bulk linger; sweeps
-//!  try_wait / wait_timeout / wait           │ > shard_rows split
+//!   Request::to(..)   │     │  └ Bulk deque      (FIFO + aging; linger     │
+//!    .batch(x).slo(..)│     │                     ≤ max_wait)              │
+//!    .deadline(..)    │     └───────────────┬──────────────────────────────┘
+//!    .weight(..))     │                     │ BatchScheduler per worker:
+//!  ───────────────────┘                     │ aged bulk ≻ latency ≻ bulk;
+//!        │ Ticket                           │ latency arrivals preempt
+//!        ▼                                  │ bulk linger
+//!  CompletionSet::wait_any()                │
+//!  try_wait / wait_timeout / wait           │
 //!              ┌────────────────────────────┴─┐
 //!              ▼                              ▼
 //!        worker thread  …               worker thread    (owned threads)
-//!              │ write-locked sweeps          │ read-locked shards
+//!              │ one locked sweep per worker  │
 //!              ▼                              ▼
 //!  ┌──────────────────────────────────────────────────┐
-//!  │ ModelRegistry: id → RwLock<PreparedCimModel>     │
-//!  │ (frozen weights; scratch pools; optional         │
-//!  │  row-tile sharding inside every conv)            │
+//!  │ ModelRegistry: id → Mutex<PreparedCimModel>      │
+//!  │ (frozen weights; a sweep's pipeline waves and    │
+//!  │  kernel work items run on the cq_tensor::exec    │
+//!  │  pool, capped at CQ_THREADS)                     │
 //!  └──────────────────────────────────────────────────┘
-//!              │ shard outputs rejoined (exact concat),
 //!              │ outputs split back per request
 //!              ▼
 //!   Completed { output, latency, slo, missed }
@@ -36,17 +36,15 @@
 //! ```
 //!
 //! Every serving-path output — coalesced, chunked oversized requests,
-//! batch-segment sharded, row-tile sharded, multi-model — is
-//! **bit-identical** to calling the standalone
-//! [`PreparedCimModel`] on the same input:
-//! the front-end only reorders *which sweep (or shard)* a request rides
-//! in, every layer processes batch elements independently with a fixed
-//! f32 operation order, and shard rejoins are exact copies
+//! multi-model — is **bit-identical** to calling the standalone
+//! [`PreparedCimModel`] on the same input: the front-end only reorders
+//! *which sweep* a request rides in, and every layer processes batch
+//! elements independently with a fixed f32 operation order
 //! (`tests/serving.rs`, `tests/slo_stress.rs`, and the `cq-core`
-//! `sharded_equivalence` matrix pin this). The same holds across
-//! **resolution paths**: [`Ticket::wait`], [`Ticket::try_wait`],
-//! [`Ticket::wait_timeout`], and [`CompletionSet::wait_any`] all hand
-//! over the same moved output tensor.
+//! `engine_equivalence` / `prepared_inference` tests pin this). The same
+//! holds across **resolution paths**: [`Ticket::wait`],
+//! [`Ticket::try_wait`], [`Ticket::wait_timeout`], and
+//! [`CompletionSet::wait_any`] all hand over the same moved output tensor.
 //!
 //! **Sessions.** [`CimServer::start`] consumes the server and returns an
 //! owned [`ServeSession`]: worker threads are plain `std::thread::spawn`
@@ -57,9 +55,16 @@
 //! pollable [`Ticket`]; a [`CompletionSet`] multiplexes hundreds of
 //! in-flight tickets through one condvar. [`ServeSession::shutdown`]
 //! drains every admitted request, joins the workers, and returns the
-//! final [`ServeStats`] with the resident models. The PR 3/4 closure
-//! flow survives as [`CimServer::serve`], a thin wrapper over the same
-//! machinery.
+//! final [`ServeStats`] with the resident models.
+//!
+//! **Parallelism.** Serve workers parallelise *across* sweeps (different
+//! models, or queued work for one model while another sweep runs). Inside
+//! a sweep there is exactly one mechanism: the frozen engine splits the
+//! rows into cross-layer pipeline waves
+//! ([`PreparedCimModel::set_pipeline_depth`]) and every conv schedules its
+//! `image × row-tile` work items, all as tasks on the one
+//! `CQ_THREADS`-capped `cq_tensor::exec` pool, so compute never
+//! oversubscribes the host however many workers run.
 //!
 //! **Hot-swap.** A *running* session is reconfigurable:
 //! [`ServeSession::register`] installs a new model (routable the moment
@@ -109,22 +114,11 @@
 //! with [`Completed::missed`] set, and [`ServeStats`] reports per-class
 //! served/missed counters plus [`ServeStats::aged_promotions`].
 //!
-//! **Sharding.** With [`ServeConfig::shard_rows`] set, a sweep larger
-//! than the bound is split into batch-segment [`cq_cim::ShardPlan`]
-//! shards published to the queue's work-stealing pool: every worker —
-//! including the coordinator while it waits — steals segments and runs
-//! them through the registry's read lock, so the whole worker set
-//! cooperates on one oversized request. [`ServeConfig::row_tile_shards`]
-//! additionally splits each frozen convolution's grouped-conv front-end
-//! across row tiles (rejoined by exact scatter before the canonical
-//! fixed-order reduce).
-//!
 //! [`StreamSpec`] generates seeded Poisson-ish open-loop request streams
 //! with a configurable latency-class fraction; the `cq-bench` `serving`
 //! experiment replays them through a multiplexed [`CompletionSet`]
 //! client and reports per-class p50/p99 latency, deadline-miss rate,
-//! images/sec, and queue depth (`BENCH_serving.json`,
-//! `BENCH_serving_sharded.json`).
+//! images/sec, and queue depth (`BENCH_serving.json`).
 //!
 //! ## Example
 //!
@@ -182,7 +176,7 @@ pub use completion::{CompletionSet, TicketKey};
 pub use config::{ConfigError, SchedulerPolicy, ServeConfig, ServeConfigBuilder, TenantSpec};
 // Re-exported so `ServeSession::shutdown`'s return type is nameable from
 // this crate alone.
-pub use cq_core::{BackendError, BackendKind, BackendSet, PreparedCimModel, PsumKernel};
+pub use cq_core::{BackendError, BackendKind, BackendSet, PreparedCimModel};
 pub use metrics::{
     DepthSample, LatencyHistogram, ModelStats, TenantStats, WorkerStats, HISTOGRAM_BUCKETS,
 };

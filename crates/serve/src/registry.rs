@@ -1,15 +1,13 @@
 //! Multi-model residency: a registry mapping model ids to independently
 //! frozen [`PreparedCimModel`]s — **mutable on a live session**.
 //!
-//! Each resident model sits in a slot behind its own reader-writer lock
-//! and carries its own frozen weights and scratch buffers. Coalesced
-//! sweeps take the write lock (one scratch, one crossbar program), so
-//! sweeps into one model serialize while workers serve different models
-//! concurrently. Batch-segment **shards** take the read lock and run
-//! through the shared-state path ([`PreparedCimModel::infer_shared`]), so
-//! every worker can execute a segment of the same oversized sweep at
-//! once. Outputs are bit-identical to calling the standalone
-//! `PreparedCimModel` directly — residency changes scheduling only.
+//! Each resident model sits in a slot behind its own mutex and carries
+//! its own frozen weights. Coalesced sweeps take the lock, so sweeps into
+//! one model serialize while workers serve different models concurrently;
+//! inside a sweep the model's kernels and pipeline waves fan out on the
+//! shared `cq_tensor::exec` pool. Outputs are bit-identical to calling the
+//! standalone `PreparedCimModel` directly — residency changes scheduling
+//! only.
 //!
 //! **Hot-swap.** The slot list itself sits behind a `RwLock`, so
 //! [`ServeSession::register`](crate::ServeSession::register) and
@@ -244,7 +242,7 @@ struct Slot {
     /// registration ([`PreparedCimModel::scheme`]) — immutable per slot,
     /// so stats scrapes read it without any model lock.
     scheme: String,
-    model: RwLock<Option<PreparedCimModel>>,
+    model: Mutex<Option<PreparedCimModel>>,
     life: Mutex<SlotLife>,
     meta: Mutex<SlotMeta>,
 }
@@ -254,7 +252,7 @@ impl Slot {
         Arc::new(Slot {
             name,
             scheme,
-            model: RwLock::new(Some(model)),
+            model: Mutex::new(Some(model)),
             life: Mutex::new(SlotLife {
                 in_flight: 0,
                 evicted: false,
@@ -273,7 +271,7 @@ impl Slot {
     fn deliver(&self, reclaim: &EvictState) {
         let model = self
             .model
-            .write()
+            .lock()
             .unwrap()
             .take()
             .expect("evicted slot delivered twice");
@@ -443,7 +441,7 @@ impl ModelRegistry {
                 life.reclaim.take()
             };
             if let Some(reclaim) = reclaim {
-                if slot.model.read().unwrap().is_some() {
+                if slot.model.lock().unwrap().is_some() {
                     slot.deliver(&reclaim);
                 }
             }
@@ -572,40 +570,27 @@ impl ModelRegistry {
         *self.slot(id).meta.lock().unwrap()
     }
 
-    /// Write-locks model `id` and serves `requests` through its coalescing
+    /// Locks model `id` and serves `requests` through its coalescing
     /// [`PreparedCimModel::infer_batch`].
     pub(crate) fn infer_batch(&self, id: ModelId, requests: &[Tensor]) -> Vec<Tensor> {
         self.slot(id)
             .model
-            .write()
+            .lock()
             .unwrap()
             .as_mut()
             .expect("model evicted with requests in flight")
             .infer_batch(requests)
     }
 
-    /// Read-locks model `id` and serves one batch segment through the
-    /// shared-state path — many workers may do this concurrently on one
-    /// model (see [`PreparedCimModel::infer_shared`]).
-    pub(crate) fn infer_shared(&self, id: ModelId, segment: &Tensor) -> Tensor {
-        self.slot(id)
-            .model
-            .read()
-            .unwrap()
-            .as_ref()
-            .expect("model evicted with shards in flight")
-            .infer_shared(segment)
-    }
-
-    /// Runs `f` over every live model (write-locked one at a time, list
-    /// lock not held), collecting the first error.
+    /// Runs `f` over every live model (locked one at a time, list lock not
+    /// held), collecting the first error.
     fn for_each_live<E>(
         &self,
         mut f: impl FnMut(&Slot, &mut PreparedCimModel) -> Result<(), E>,
     ) -> Result<(), E> {
         let mut first_err = None;
         for slot in self.slots() {
-            let mut guard = slot.model.write().unwrap();
+            let mut guard = slot.model.lock().unwrap();
             if let Some(model) = guard.as_mut() {
                 if let Err(e) = f(&slot, model) {
                     first_err.get_or_insert(e);
@@ -627,15 +612,6 @@ impl ModelRegistry {
         });
     }
 
-    /// Sets the row-tile shard count of every live model's frozen
-    /// convolutions (see [`PreparedCimModel::set_row_tile_shards`]).
-    pub fn set_row_tile_shards(&mut self, shards: Option<usize>) {
-        let _ = self.for_each_live(|_, m| {
-            m.set_row_tile_shards(shards);
-            Ok::<(), ()>(())
-        });
-    }
-
     /// Installs the execution-backend fallback chain on every live
     /// model's frozen convolutions (see
     /// [`PreparedCimModel::set_backends`] — bit-identical outputs
@@ -652,16 +628,6 @@ impl ModelRegistry {
             *slot.meta.lock().unwrap() = meta_of(m);
             result
         })
-    }
-
-    /// Legacy kernel-family shorthand for
-    /// [`set_backends`](ModelRegistry::set_backends).
-    ///
-    /// # Errors
-    ///
-    /// See [`set_backends`](ModelRegistry::set_backends).
-    pub fn set_psum_kernel(&mut self, kernel: cq_core::PsumKernel) -> Result<(), BackendError> {
-        self.set_backends(&kernel.into())
     }
 
     /// The primary (most-common active) backend of each **live** resident

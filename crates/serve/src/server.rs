@@ -3,37 +3,28 @@
 //! [`ServeSession`]s.
 
 use crate::config::{ConfigError, ServeConfig};
-use crate::queue::ServeStats;
 use crate::registry::ModelRegistry;
-use crate::session::{ServeSession, ServerCore};
-use std::sync::Arc;
+use crate::session::ServeSession;
 
 /// A serving front-end over a set of resident frozen models: a bounded
 /// request queue with admission control, [`Slo`](crate::Slo) priority
-/// classes (optionally aging-weighted), per-worker batch schedulers, a
-/// work-stealing shard pool for oversized sweeps, and owned worker
-/// threads draining sweeps into the registry (see crate docs for the full
-/// picture).
+/// classes (optionally aging-weighted), per-worker batch schedulers, and
+/// owned worker threads draining sweeps into the registry (see crate docs
+/// for the full picture).
 ///
-/// Two ways to run it:
-///
-/// * [`start`](CimServer::start) — the **owned session** flow: consumes
-///   the server, returns a [`ServeSession`] whose worker threads run
-///   until [`shutdown`](ServeSession::shutdown) hands back the final
-///   [`ServeStats`] and the resident models. Nothing is scoped to a
-///   closure; tickets are pollable and multiplexable.
-/// * [`serve`](CimServer::serve) — the scoped compatibility flow from
-///   PR 3/4: runs a closure against a session and drains it before
-///   returning. A thin wrapper over the same session machinery.
+/// [`start`](CimServer::start) consumes the server and returns a
+/// [`ServeSession`] whose worker threads run until
+/// [`shutdown`](ServeSession::shutdown) hands back the final
+/// [`ServeStats`](crate::ServeStats) and the resident models. Tickets are
+/// pollable and multiplexable.
 pub struct CimServer {
-    core: Arc<ServerCore>,
+    registry: ModelRegistry,
     cfg: ServeConfig,
 }
 
 impl CimServer {
     /// Creates a server over `registry`; every resident model's sweep cap
-    /// is set to `cfg.max_batch`, its row-tile shard count to
-    /// `cfg.row_tile_shards`, and its execution-backend chain to
+    /// is set to `cfg.max_batch` and its execution-backend chain to
     /// `cfg.backends`.
     ///
     /// # Panics
@@ -47,19 +38,15 @@ impl CimServer {
         assert!(!registry.is_empty(), "registry has no models");
         cfg.validate().expect("invalid serve config");
         registry.set_max_batch(cfg.max_batch);
-        registry.set_row_tile_shards(cfg.row_tile_shards);
         registry
             .set_backends(&cfg.backends)
             .expect("configured backend chain cannot execute a resident model");
-        Self {
-            core: Arc::new(ServerCore { registry }),
-            cfg,
-        }
+        Self { registry, cfg }
     }
 
     /// The resident model set.
     pub fn registry(&self) -> &ModelRegistry {
-        &self.core.registry
+        &self.registry
     }
 
     /// The active policy.
@@ -69,29 +56,24 @@ impl CimServer {
 
     /// Swaps the serving policy **between sessions** (e.g. a benchmark
     /// sweeping admission modes over one resident model set); resident
-    /// models get the new sweep cap and row-tile shard count.
+    /// models get the new sweep cap and backend chain.
     ///
-    /// The new policy takes effect for future sessions only: a running
-    /// session snapshots the policy when it starts (its queue, workers,
-    /// and schedulers are built from that snapshot), so reconfiguring
-    /// mid-session is not possible. The sessions-only contract is
-    /// enforced mechanically — the registry can only be re-tuned while no
-    /// session shares it — and violations are a hard
-    /// [`ConfigError::SessionActive`] error, not a debug assertion.
+    /// The new policy takes effect for the next session only: a session
+    /// snapshots the policy when it starts (its queue, workers, and
+    /// schedulers are built from that snapshot), and
+    /// [`start`](CimServer::start) consumes the server, so a running
+    /// session can never be reconfigured.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::SessionActive`] when a session still shares the
-    /// server state, the violated invariant for an invalid `cfg`, or
+    /// The violated invariant for an invalid `cfg`, or
     /// [`ConfigError::Backend`] when the new backend chain cannot execute
     /// some resident layer (models already re-chained keep the new chain;
     /// re-install a satisfiable one to restore uniformity).
     pub fn set_config(&mut self, cfg: ServeConfig) -> Result<(), ConfigError> {
         cfg.validate()?;
-        let core = Arc::get_mut(&mut self.core).ok_or(ConfigError::SessionActive)?;
-        core.registry.set_max_batch(cfg.max_batch);
-        core.registry.set_row_tile_shards(cfg.row_tile_shards);
-        core.registry.set_backends(&cfg.backends)?;
+        self.registry.set_max_batch(cfg.max_batch);
+        self.registry.set_backends(&cfg.backends)?;
         self.cfg = cfg;
         Ok(())
     }
@@ -102,35 +84,11 @@ impl CimServer {
     /// [`ServeSession::shutdown`], which drains every admitted request
     /// and returns the final stats plus the resident models.
     pub fn start(self) -> ServeSession {
-        ServeSession::spawn(self.core, self.cfg)
-    }
-
-    /// Runs one scoped serving session (the PR 3/4 compatibility flow):
-    /// starts a session, calls `body` with it for submitting requests,
-    /// and — once `body` returns — closes the queue, drains every
-    /// admitted request, joins the workers, and returns `body`'s result
-    /// with the session stats. A thin wrapper over the [`ServeSession`]
-    /// machinery; the server (and its registry) stays usable afterwards.
-    ///
-    /// Every ticket obtained inside `body` is guaranteed to be resolved;
-    /// it may be waited inside or after `body`. Panics — in `body` or in
-    /// a worker (e.g. an input shape the model rejects) — propagate out
-    /// of `serve` instead of deadlocking: the queue closes on unwind,
-    /// panicked workers abandon their tickets (which makes the
-    /// corresponding ticket resolution panic too), and a panicked shard
-    /// executor fails its join so the coordinating worker panics as well.
-    pub fn serve<R>(&self, body: impl FnOnce(&ServeSession) -> R) -> (R, ServeStats) {
-        let session = ServeSession::spawn(self.core.clone(), self.cfg.clone());
-        let out = body(&session);
-        (out, session.finish())
+        ServeSession::spawn(self.registry, self.cfg)
     }
 
     /// Dissolves the server, returning the resident models.
     pub fn into_models(self) -> Vec<(String, cq_core::PreparedCimModel)> {
-        Arc::try_unwrap(self.core)
-            .ok()
-            .expect("a session still shares the server state")
-            .registry
-            .into_models()
+        self.registry.into_models()
     }
 }

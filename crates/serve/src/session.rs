@@ -1,14 +1,14 @@
 //! The owned, non-blocking serving session: the autoscaling worker pool,
-//! the sweep / shard execution paths, live model hot-swap, and the
-//! client-side submission surface.
+//! the sweep execution path, live model hot-swap, and the client-side
+//! submission surface.
 //!
-//! A [`ServeSession`] is created by [`CimServer::start`](crate::CimServer::start)
-//! (owned flow — `shutdown` hands the resident models back) or internally
-//! by [`CimServer::serve`](crate::CimServer::serve) (scoped compatibility
-//! flow). Its worker threads are **owned** `std::thread::spawn` threads
-//! sharing the session state through `Arc` — no scope borrow, so the
-//! session can be moved, stored, and shut down from anywhere, and clients
-//! never block inside a closure unless they choose to.
+//! A [`ServeSession`] is created by
+//! [`CimServer::start`](crate::CimServer::start); `shutdown` hands the
+//! resident models back. Its worker threads are **owned**
+//! `std::thread::spawn` threads sharing the session state through `Arc` —
+//! no scope borrow, so the session can be moved, stored, and shut down
+//! from anywhere, and clients never block inside a closure unless they
+//! choose to.
 //!
 //! **Autoscaling.** The pool starts at `min_workers` and grows toward
 //! `max_workers` when the queue stays deeper than the live worker count
@@ -30,23 +30,14 @@ use crate::config::ServeConfig;
 use crate::metrics::{ModelStats, WorkerStats};
 use crate::queue::BatchScheduler;
 use crate::queue::{
-    QueuedRequest, RequestQueue, ResponseSlot, ServeStats, ShardJoin, ShardTask, Slo, SubmitError,
-    Ticket, Work, WorkPoll,
+    QueuedRequest, RequestQueue, ResponseSlot, ServeStats, SubmitError, Ticket, WorkPoll,
 };
 use crate::registry::{EvictTicket, ModelId, ModelRegistry, SlotMeta, SwapError};
 use crate::request::{Request, Target};
-use cq_cim::ShardPlan;
 use cq_core::{BackendKind, PreparedCimModel};
-use cq_tensor::Tensor;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// The server state a session shares with its workers (and, in the
-/// compatibility flow, with the originating [`CimServer`](crate::CimServer)).
-pub(crate) struct ServerCore {
-    pub(crate) registry: ModelRegistry,
-}
 
 /// The worker pool's mutable state (behind one mutex — touched on
 /// spawn/retire/snapshot, never on the per-request hot path beyond the
@@ -73,7 +64,7 @@ struct PoolState {
 
 /// Everything one session's workers share.
 struct SessionShared {
-    core: Arc<ServerCore>,
+    registry: ModelRegistry,
     queue: RequestQueue,
     cfg: ServeConfig,
     pool: Mutex<PoolState>,
@@ -114,11 +105,11 @@ pub struct ServeSession {
 
 impl ServeSession {
     /// Spawns the session's initial `min_workers` worker threads over
-    /// `core` under `cfg` (validated by the caller).
-    pub(crate) fn spawn(core: Arc<ServerCore>, cfg: ServeConfig) -> Self {
+    /// `registry` under `cfg` (validated by the caller).
+    pub(crate) fn spawn(registry: ModelRegistry, cfg: ServeConfig) -> Self {
         let shared = Arc::new(SessionShared {
             queue: RequestQueue::with_tenants(cfg.queue_capacity, &cfg.tenants),
-            core,
+            registry,
             pool: Mutex::new(PoolState {
                 live: 0,
                 peak: 0,
@@ -132,7 +123,7 @@ impl ServeSession {
         });
         shared
             .queue
-            .set_backend_layers(shared.core.registry.backend_layer_counts());
+            .set_backend_layers(shared.registry.backend_layer_counts());
         {
             let mut pool = shared.pool.lock().unwrap();
             for _ in 0..shared.cfg.min_workers {
@@ -165,7 +156,7 @@ impl ServeSession {
     /// Panics if the input is not rank 4.
     pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
         let shared = &self.inner().shared;
-        let registry = &shared.core.registry;
+        let registry = &shared.registry;
         let input = request.input.ok_or(SubmitError::MissingInput)?;
         assert_eq!(input.rank(), 4, "request must be [B,C,H,W]");
         let tenant = match &request.tenant {
@@ -206,10 +197,10 @@ impl ServeSession {
     }
 
     /// Registers `model` under `name` on the **running** session: the
-    /// session's freeze-time knobs (`max_batch`, `row_tile_shards`, the
-    /// backend chain) are installed on it, and new submissions can route
-    /// to it the moment this returns. Names are reusable after eviction —
-    /// lookup always resolves to the newest live model.
+    /// session's freeze-time knobs (`max_batch`, the backend chain) are
+    /// installed on it, and new submissions can route to it the moment
+    /// this returns. Names are reusable after eviction — lookup always
+    /// resolves to the newest live model.
     ///
     /// # Errors
     ///
@@ -231,7 +222,6 @@ impl ServeSession {
             return Err(SwapError::SchemeNotAllowed { scheme, model });
         }
         model.set_max_batch(shared.cfg.max_batch);
-        model.set_row_tile_shards(shared.cfg.row_tile_shards);
         if let Err(error) = model.set_backends(shared.cfg.backends.clone()) {
             return Err(SwapError::Backend { error, model });
         }
@@ -239,14 +229,11 @@ impl ServeSession {
             kind: model.primary_backend().unwrap_or(BackendKind::SimdF32),
             layers: model.backend_layer_counts(),
         };
-        let id = shared
-            .core
-            .registry
-            .register_live(name, scheme, model, meta)?;
+        let id = shared.registry.register_live(name, scheme, model, meta)?;
         shared.queue.note_hot_register();
         shared
             .queue
-            .set_backend_layers(shared.core.registry.backend_layer_counts());
+            .set_backend_layers(shared.registry.backend_layer_counts());
         Ok(id)
     }
 
@@ -264,23 +251,23 @@ impl ServeSession {
     /// [`SwapError::UnknownModel`] when no live model holds `name`.
     pub fn evict(&self, name: &str) -> Result<EvictTicket, SwapError> {
         let shared = &self.inner().shared;
-        let ticket = shared.core.registry.evict(name)?;
+        let ticket = shared.registry.evict(name)?;
         shared.queue.note_evicted();
         shared
             .queue
-            .set_backend_layers(shared.core.registry.backend_layer_counts());
+            .set_backend_layers(shared.registry.backend_layer_counts());
         Ok(ticket)
     }
 
     /// Resolves a model name to its registry handle (for
     /// [`Request::to_id`] hot paths).
     pub fn model_id(&self, name: &str) -> Option<ModelId> {
-        self.inner().shared.core.registry.id(name)
+        self.inner().shared.registry.id(name)
     }
 
     /// The resident model set.
     pub fn registry(&self) -> &ModelRegistry {
-        &self.inner().shared.core.registry
+        &self.inner().shared.registry
     }
 
     /// The policy this session was started under.
@@ -327,41 +314,22 @@ impl ServeSession {
         // Workers joined: nothing is in flight, so any eviction still
         // waiting on a drain (e.g. its worker panicked before releasing)
         // resolves now rather than hanging its ticket.
-        inner.shared.core.registry.deliver_pending_evictions();
+        inner.shared.registry.deliver_pending_evictions();
         finalize_stats(&inner.shared, &mut stats);
         let shared = Arc::try_unwrap(inner.shared)
             .ok()
             .expect("workers joined but session state still shared");
-        let core = Arc::try_unwrap(shared.core)
-            .ok()
-            .expect("session does not own the server: shut down through CimServer::serve instead");
-        (stats, core.registry.into_models())
-    }
-
-    /// The compatibility drain used by [`CimServer::serve`](crate::CimServer::serve):
-    /// close, drain, join, return stats — without dissolving the shared
-    /// core (the server keeps its registry).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic, matching the PR 3/4 `serve`
-    /// contract.
-    pub(crate) fn finish(mut self) -> ServeStats {
-        let inner = self.inner.take().expect("session already shut down");
-        let mut stats = close_and_join(&inner.shared);
-        inner.shared.core.registry.deliver_pending_evictions();
-        finalize_stats(&inner.shared, &mut stats);
-        stats
+        (stats, shared.registry.into_models())
     }
 }
 
 impl Drop for ServeSession {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
-            // Unwind path (shutdown/finish take `inner` on the normal
-            // paths): close so workers exit, join so threads never leak,
-            // swallow worker panics — the client's panic is already
-            // propagating and a double panic would abort.
+            // Unwind path (shutdown takes `inner` on the normal path):
+            // close so workers exit, join so threads never leak, swallow
+            // worker panics — the client's panic is already propagating
+            // and a double panic would abort.
             inner.shared.queue.close();
             loop {
                 let handles: Vec<_> = {
@@ -375,7 +343,7 @@ impl Drop for ServeSession {
                     let _ = worker.join();
                 }
             }
-            inner.shared.core.registry.deliver_pending_evictions();
+            inner.shared.registry.deliver_pending_evictions();
         }
     }
 }
@@ -464,7 +432,7 @@ fn close_and_join(shared: &SessionShared) -> ServeStats {
 /// model names / scheme attribution / eviction flags (registry) and the
 /// worker-pool gauges.
 fn finalize_stats(shared: &SessionShared, stats: &mut ServeStats) {
-    let names = shared.core.registry.slot_names();
+    let names = shared.registry.slot_names();
     while stats.models.len() < names.len() {
         stats.models.push(ModelStats::default());
     }
@@ -484,8 +452,8 @@ fn finalize_stats(shared: &SessionShared, stats: &mut ServeStats) {
     };
 }
 
-/// One worker: steal shards, form sweeps, fulfil tickets — and, in an
-/// autoscaling pool, retire after `scale_down_idle` without work.
+/// One worker: form sweeps, fulfil tickets — and, in an autoscaling
+/// pool, retire after `scale_down_idle` without work.
 fn worker_loop(shared: &SessionShared) {
     let sched = BatchScheduler::new(
         &shared.queue,
@@ -497,8 +465,7 @@ fn worker_loop(shared: &SessionShared) {
         (shared.cfg.max_workers > shared.cfg.min_workers).then_some(shared.cfg.scale_down_idle);
     loop {
         match sched.poll_work(idle_after) {
-            WorkPoll::Ready(Work::Shard(task)) => run_shard(shared, task),
-            WorkPoll::Ready(Work::Sweep(batch)) => serve_sweep(shared, batch),
+            WorkPoll::Ready(batch) => serve_sweep(shared, batch),
             WorkPoll::Idle => {
                 if try_retire(shared) {
                     return;
@@ -512,40 +479,10 @@ fn worker_loop(shared: &SessionShared) {
     }
 }
 
-/// Executes one stolen batch segment through the shared-state model path
-/// (read lock — concurrent with other segments of the same model). If
-/// execution panics, the join is failed on unwind so the coordinator
-/// propagates the panic instead of hanging.
-fn run_shard(shared: &SessionShared, task: ShardTask) {
-    struct FailOnDrop {
-        join: Arc<ShardJoin>,
-        armed: bool,
-    }
-    impl Drop for FailOnDrop {
-        fn drop(&mut self) {
-            if self.armed {
-                self.join.fail();
-            }
-        }
-    }
-    let mut guard = FailOnDrop {
-        join: task.join.clone(),
-        armed: true,
-    };
-    let output = shared
-        .core
-        .registry
-        .infer_shared(ModelId(task.model), &task.segment);
-    guard.armed = false;
-    let kind = shared.core.registry.slot_meta(ModelId(task.model)).kind;
-    shared.queue.note_backend_shard(kind, task.model);
-    task.join.complete(task.index, output);
-}
-
-/// Serves one formed sweep: runs it (whole, or sharded across the worker
-/// pool), splits the output back per request, and fulfils the tickets
-/// with per-class, per-tenant latency and deadline accounting, releasing
-/// each request's model admission (the eviction drain count).
+/// Serves one formed sweep: runs it, splits the output back per request,
+/// and fulfils the tickets with per-class, per-tenant latency and
+/// deadline accounting, releasing each request's model admission (the
+/// eviction drain count).
 fn serve_sweep(shared: &SessionShared, batch: Vec<QueuedRequest>) {
     // If anything below panics, abandon the unfulfilled tickets on unwind
     // so their waiters fail loudly instead of hanging.
@@ -568,17 +505,8 @@ fn serve_sweep(shared: &SessionShared, batch: Vec<QueuedRequest>) {
     }
     let guard = AbandonOnDrop(slots);
     let rows: usize = inputs.iter().map(|t| t.dim(0)).sum();
-    let slo = metas[0].0; // sweeps are single-class
-    let shardable = shared
-        .cfg
-        .shard_rows
-        .is_some_and(|cap| rows > cap && inputs.iter().all(|t| t.dim(0) > 0));
-    let outputs = if shardable {
-        infer_sharded(shared, model, slo, &inputs, rows)
-    } else {
-        shared.core.registry.infer_batch(model, &inputs)
-    };
-    let kind = shared.core.registry.slot_meta(model).kind;
+    let outputs = shared.registry.infer_batch(model, &inputs);
+    let kind = shared.registry.slot_meta(model).kind;
     shared.queue.note_backend_sweep(kind, rows as u64);
     debug_assert_eq!(outputs.len(), guard.0.len());
     for ((slot, output), (slo, deadline, submitted_at, tenant)) in
@@ -592,70 +520,7 @@ fn serve_sweep(shared: &SessionShared, batch: Vec<QueuedRequest>) {
             deadline.is_some_and(|d| at > d),
             at.saturating_duration_since(*submitted_at),
         );
-        shared.core.registry.release(model);
+        shared.registry.release(model);
     }
     // All fulfilled; the guard's abandon() calls are now no-ops.
-}
-
-/// Executes one oversized sweep cooperatively: the coalesced rows are
-/// split into segments of at most `min(shard_rows, max_batch)` rows — the
-/// sweep cap stays in force, since the shared segment path does no
-/// internal chunking — published to the shard pool, and executed by
-/// whichever workers steal them; this coordinator drains the pool too
-/// while it waits. Segment outputs are rejoined by exact concatenation
-/// and sliced back per request, bit-identical to the unsharded sweep
-/// (every layer processes batch rows independently; `sharded_equivalence`
-/// and the serving tests pin this).
-fn infer_sharded(
-    shared: &SessionShared,
-    model: ModelId,
-    slo: Slo,
-    inputs: &[Tensor],
-    rows: usize,
-) -> Vec<Tensor> {
-    let owned;
-    let coalesced: &Tensor = if inputs.len() == 1 {
-        &inputs[0]
-    } else {
-        owned = Tensor::concat_outer(&inputs.iter().collect::<Vec<_>>());
-        &owned
-    };
-    let seg_rows = shared
-        .cfg
-        .shard_rows
-        .unwrap()
-        .min(shared.cfg.max_batch.unwrap_or(usize::MAX));
-    let plan = ShardPlan::split_max(rows, seg_rows);
-    let join = Arc::new(ShardJoin::new(plan.num_shards()));
-    shared
-        .queue
-        .push_shards(plan.iter().enumerate().map(|(index, seg)| ShardTask {
-            model: model.0,
-            segment: coalesced.slice_outer(seg.start, seg.end),
-            index,
-            slo,
-            join: join.clone(),
-        }));
-    // Cooperative wait: keep stealing shard tasks (ours or another
-    // coordinator's) while our join is incomplete; block only when the
-    // pool is empty — every queued task is then in flight on some worker,
-    // so the join (or a failure) is guaranteed to resolve.
-    let parts = loop {
-        if join.is_done() {
-            break join.wait();
-        }
-        match shared.queue.try_pop_shard() {
-            Some(task) => run_shard(shared, task),
-            None => break join.wait(),
-        }
-    };
-    let merged = Tensor::concat_outer(&parts.iter().collect::<Vec<_>>());
-    let mut outputs = Vec::with_capacity(inputs.len());
-    let mut start = 0;
-    for input in inputs {
-        let b = input.dim(0);
-        outputs.push(merged.slice_outer(start, start + b));
-        start += b;
-    }
-    outputs
 }

@@ -48,6 +48,10 @@ fn eventually(bound: Duration, mut probe: impl FnMut() -> bool) -> bool {
 fn pool_grows_under_burst_shrinks_when_idle_and_loses_nothing() {
     const MIN: usize = 1;
     const MAX: usize = 3;
+    // The kernel exec pool starts lazily on the first task spawn. Start
+    // it before reading the baseline, so its own worker threads are not
+    // counted as respawns when the first sweep happens mid-burst.
+    exec::scope(|s| s.spawn(|| {}));
     let spawned_before = exec::os_threads_spawned();
 
     let mut registry = ModelRegistry::new();

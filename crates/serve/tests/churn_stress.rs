@@ -180,15 +180,16 @@ fn hot_swap_churn_loses_nothing_and_stays_version_exact() {
     assert_eq!(reclaimed.len(), SWAPS, "every evict ticket delivered");
     for (version, model) in reclaimed {
         let registry = ModelRegistry::from_models(vec![("hot".to_string(), model)]);
-        let server = CimServer::new(registry, ServeConfig::builder().workers(1).build().unwrap());
+        let session =
+            CimServer::new(registry, ServeConfig::builder().workers(1).build().unwrap()).start();
         let x = CqRng::new(version_seed(version) + 77).normal_tensor(&[2, 3, 12, 12], 1.0);
         let want = hot_refs[version].forward(&x, Mode::Eval);
-        let (got, _) = server.serve(|s| {
-            s.submit(Request::to("hot").batch(x.clone()))
-                .unwrap()
-                .wait()
-                .output
-        });
+        let got = session
+            .submit(Request::to("hot").batch(x))
+            .unwrap()
+            .wait()
+            .output;
+        session.shutdown();
         assert_eq!(got, want, "reclaimed v{version} diverged after round-trip");
     }
 }

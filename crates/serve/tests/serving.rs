@@ -7,8 +7,8 @@ use cq_cim::CimConfig;
 use cq_core::{build_cim_resnet, PreparedCimModel, QuantScheme};
 use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
 use cq_serve::{
-    Admission, CimServer, ConfigError, ModelRegistry, Request, ServeConfig, Slo, StreamSpec,
-    SubmitError, Ticket,
+    Admission, CimServer, ConfigError, ModelRegistry, Request, ServeConfig, ServeSession, Slo,
+    StreamSpec, SubmitError, Ticket,
 };
 use cq_tensor::{CqRng, Tensor};
 use std::time::Duration;
@@ -35,6 +35,16 @@ fn request(rng: &mut CqRng, batch: usize) -> Tensor {
     rng.normal_tensor(&[batch, 3, 12, 12], 1.0)
 }
 
+/// Submits every input to model "m" up front, then waits the tickets in
+/// submission order.
+fn submit_and_wait(session: &ServeSession, inputs: &[Tensor]) -> Vec<Tensor> {
+    let tickets: Vec<Ticket> = inputs
+        .iter()
+        .map(|x| session.submit(Request::to("m").batch(x.clone())).unwrap())
+        .collect();
+    tickets.into_iter().map(|t| t.wait().output).collect()
+}
+
 /// Block admission admits everything; all outputs are bit-identical to
 /// the direct standalone path, including oversized (chunked) requests.
 #[test]
@@ -53,7 +63,7 @@ fn queued_serving_is_bit_exact_vs_direct() {
 
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(1));
-    let server = CimServer::new(
+    let session = CimServer::new(
         registry,
         ServeConfig::builder()
             .queue_capacity(4)
@@ -63,17 +73,10 @@ fn queued_serving_is_bit_exact_vs_direct() {
             .workers(2)
             .build()
             .unwrap(),
-    );
-    let (got, stats) = server.serve(|s| {
-        let tickets: Vec<Ticket> = inputs
-            .iter()
-            .map(|x| s.submit(Request::to("m").batch(x.clone())).unwrap())
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.wait().output)
-            .collect::<Vec<_>>()
-    });
+    )
+    .start();
+    let got = submit_and_wait(&session, &inputs);
+    let (stats, _) = session.shutdown();
     assert_eq!(got, want, "queued path diverged from direct inference");
     assert_eq!(stats.submitted, 7);
     assert_eq!(stats.served, 7);
@@ -105,8 +108,8 @@ fn owned_session_start_shutdown_roundtrip() {
     let session = CimServer::new(registry, cfg.clone()).start();
     let tickets: Vec<Ticket> = inputs
         .iter()
-        .map(|x| s_submit(&session, x))
-        .collect::<Vec<_>>();
+        .map(|x| session.submit(Request::to("m").batch(x.clone())).unwrap())
+        .collect();
     // Shut down with every ticket still outstanding: shutdown must
     // resolve all of them (drain-then-join), and the tickets stay
     // waitable afterwards.
@@ -120,18 +123,14 @@ fn owned_session_start_shutdown_roundtrip() {
     assert_eq!(models.len(), 1);
     assert_eq!(models[0].0, "m");
     let registry = ModelRegistry::from_models(models);
-    let (direct, stats2) = CimServer::new(registry, cfg).serve(|s| {
-        s.submit(Request::to("m").batch(inputs[0].clone()))
-            .unwrap()
-            .wait()
-            .output
-    });
-    assert_eq!(direct, want[0], "returned model diverged after round-trip");
+    let session = CimServer::new(registry, cfg).start();
+    let direct = submit_and_wait(&session, &inputs[..1]);
+    let (stats2, _) = session.shutdown();
+    assert_eq!(
+        direct[0], want[0],
+        "returned model diverged after round-trip"
+    );
     assert_eq!(stats2.served, 1);
-
-    fn s_submit(session: &cq_serve::ServeSession, x: &Tensor) -> Ticket {
-        session.submit(Request::to("m").batch(x.clone())).unwrap()
-    }
 }
 
 /// Many concurrent clients hammering one owned session: every ticket
@@ -289,9 +288,8 @@ fn stats_scrape_runs_concurrently_with_serving() {
     );
 }
 
-/// `set_config` is a hard error while unreachable mid-session (the
-/// sessions-only contract), rejects invalid configs loudly, and applies
-/// cleanly between sessions.
+/// `set_config` rejects invalid configs loudly and applies cleanly
+/// between sessions.
 #[test]
 fn set_config_validates_and_is_sessions_only() {
     let mut registry = ModelRegistry::new();
@@ -324,9 +322,14 @@ fn set_config_validates_and_is_sessions_only() {
     server.set_config(cfg).unwrap();
     assert_eq!(server.config().min_workers, 3);
     assert_eq!(server.config().max_workers, 3, "workers(n) fixes the pool");
-    let ((), stats) = server.serve(|_s| {});
+    let (stats, models) = server.start().shutdown();
     assert_eq!(stats.submitted, 0);
-    // Still reconfigurable after a session drained.
+    assert_eq!(
+        stats.workers.peak, 3,
+        "the session ran under the new policy"
+    );
+    // The handed-back models make a server that reconfigures again.
+    let mut server = CimServer::new(ModelRegistry::from_models(models), ServeConfig::default());
     server
         .set_config(ServeConfig::builder().workers(1).build().unwrap())
         .unwrap();
@@ -347,7 +350,7 @@ fn reject_admission_sheds_load_with_exact_accounting() {
 
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(3));
-    let server = CimServer::new(
+    let session = CimServer::new(
         registry,
         ServeConfig::builder()
             .queue_capacity(2)
@@ -357,20 +360,17 @@ fn reject_admission_sheds_load_with_exact_accounting() {
             .workers(1)
             .build()
             .unwrap(),
-    );
-    let (results, stats) = server.serve(|s| {
-        // Submit the whole burst first (the worker needs milliseconds per
-        // sweep; submission takes microseconds, so the tiny queue must
-        // overflow), then wait the admitted tickets.
-        let tickets: Vec<Result<Ticket, SubmitError>> = inputs
-            .iter()
-            .map(|x| s.submit(Request::to("m").batch(x.clone())))
-            .collect();
-        tickets
-            .into_iter()
-            .map(|r| r.map(Ticket::wait))
-            .collect::<Vec<_>>()
-    });
+    )
+    .start();
+    // Submit the whole burst first (the worker needs milliseconds per
+    // sweep; submission takes microseconds, so the tiny queue must
+    // overflow), then wait the admitted tickets.
+    let tickets: Vec<Result<Ticket, SubmitError>> = inputs
+        .iter()
+        .map(|x| session.submit(Request::to("m").batch(x.clone())))
+        .collect();
+    let results: Vec<_> = tickets.into_iter().map(|r| r.map(Ticket::wait)).collect();
+    let (stats, _) = session.shutdown();
     let mut admitted = 0u64;
     let mut shed = 0u64;
     for (r, want) in results.into_iter().zip(&want) {
@@ -430,7 +430,7 @@ fn multi_model_residency_is_isolated_and_bit_exact() {
     let mut registry = ModelRegistry::new();
     let id_a = registry.register("model-a", prepared(10));
     let id_b = registry.register("model-b", prepared(20));
-    let server = CimServer::new(
+    let session = CimServer::new(
         registry,
         ServeConfig::builder()
             .queue_capacity(32)
@@ -440,20 +440,17 @@ fn multi_model_residency_is_isolated_and_bit_exact() {
             .workers(3)
             .build()
             .unwrap(),
-    );
-    let (got, stats) = server.serve(|s| {
-        let tickets: Vec<Ticket> = inputs
-            .iter()
-            .map(|(m, x)| {
-                let id = if *m == 0 { id_a } else { id_b };
-                s.submit(Request::to_id(id).batch(x.clone())).unwrap()
-            })
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.wait().output)
-            .collect::<Vec<_>>()
-    });
+    )
+    .start();
+    let tickets: Vec<Ticket> = inputs
+        .iter()
+        .map(|(m, x)| {
+            let id = if *m == 0 { id_a } else { id_b };
+            session.submit(Request::to_id(id).batch(x.clone())).unwrap()
+        })
+        .collect();
+    let got: Vec<Tensor> = tickets.into_iter().map(|t| t.wait().output).collect();
+    let (stats, _) = session.shutdown();
     assert_eq!(got, want, "multi-model outputs diverged from standalone");
     assert_eq!(stats.served, 24);
 }
@@ -479,7 +476,7 @@ fn scheduler_is_deterministic_under_a_seeded_stream() {
         let inputs: Vec<Tensor> = stream.iter().map(|r| request(rng, r.batch)).collect();
         let mut registry = ModelRegistry::new();
         registry.register("m", prepared(30));
-        let server = CimServer::new(
+        let session = CimServer::new(
             registry,
             ServeConfig::builder()
                 .queue_capacity(32)
@@ -489,20 +486,13 @@ fn scheduler_is_deterministic_under_a_seeded_stream() {
                 .workers(1)
                 .build()
                 .unwrap(),
-        );
-        server.serve(|s| {
-            // Pre-submit the whole stream, then wait: the single worker's
-            // scheduler always finds a full queue (or lingers far longer
-            // than the submission loop takes), so sweeps fill to the cap.
-            let tickets: Vec<Ticket> = inputs
-                .iter()
-                .map(|x| s.submit(Request::to("m").batch(x.clone())).unwrap())
-                .collect();
-            tickets
-                .into_iter()
-                .map(|t| t.wait().output)
-                .collect::<Vec<_>>()
-        })
+        )
+        .start();
+        // Pre-submit the whole stream, then wait: the single worker's
+        // scheduler always finds a full queue (or lingers far longer than
+        // the submission loop takes), so sweeps fill to the cap.
+        let out = submit_and_wait(&session, &inputs);
+        (out, session.shutdown().0)
     };
     let (out1, stats1) = run();
     let (out2, stats2) = run();
@@ -513,21 +503,20 @@ fn scheduler_is_deterministic_under_a_seeded_stream() {
     assert_eq!(stats1.max_sweep_rows, 4);
 }
 
-/// A request whose shape the model rejects must make `serve` panic —
-/// worker panics propagate through abandoned tickets and the close-on-
-/// unwind guard — never deadlock.
+/// A request whose shape the model rejects must make its waiting client
+/// panic — worker panics propagate through abandoned tickets, and the
+/// session's drop-on-unwind joins the workers — never deadlock.
 #[test]
 #[should_panic]
 fn model_rejecting_an_input_panics_instead_of_hanging() {
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(50));
-    let server = CimServer::new(registry, ServeConfig::builder().workers(1).build().unwrap());
-    let ((), _) = server.serve(|s| {
-        // Wrong channel count: the model's first conv rejects it.
-        let bad = Tensor::zeros(&[1, 5, 12, 12]);
-        let t = s.submit(Request::to("m").batch(bad)).unwrap();
-        let _ = t.wait(); // panics: the worker abandoned the ticket
-    });
+    let session =
+        CimServer::new(registry, ServeConfig::builder().workers(1).build().unwrap()).start();
+    // Wrong channel count: the model's first conv rejects it.
+    let bad = Tensor::zeros(&[1, 5, 12, 12]);
+    let t = session.submit(Request::to("m").batch(bad)).unwrap();
+    let _ = t.wait(); // panics: the worker abandoned the ticket
 }
 
 /// Unknown models and batch-less requests fail recoverably at
@@ -536,20 +525,18 @@ fn model_rejecting_an_input_panics_instead_of_hanging() {
 fn unknown_model_and_missing_input_are_rejected_at_submit() {
     let mut registry = ModelRegistry::new();
     registry.register("only", prepared(40));
-    let server = CimServer::new(registry, ServeConfig::default());
-    let ((unknown, missing, served), _) = server.serve(|s| {
-        let unknown = s
-            .submit(Request::to("missing").batch(Tensor::zeros(&[1, 3, 12, 12])))
-            .err()
-            .unwrap();
-        let missing = s.submit(Request::to("only")).err().unwrap();
-        // The session survives both rejections.
-        let served = s
-            .submit(Request::to("only").batch(Tensor::zeros(&[1, 3, 12, 12])))
-            .unwrap()
-            .wait();
-        (unknown, missing, served)
-    });
+    let session = CimServer::new(registry, ServeConfig::default()).start();
+    let unknown = session
+        .submit(Request::to("missing").batch(Tensor::zeros(&[1, 3, 12, 12])))
+        .err()
+        .unwrap();
+    let missing = session.submit(Request::to("only")).err().unwrap();
+    // The session survives both rejections.
+    let served = session
+        .submit(Request::to("only").batch(Tensor::zeros(&[1, 3, 12, 12])))
+        .unwrap()
+        .wait();
+    session.shutdown();
     assert!(matches!(unknown, SubmitError::UnknownModel(name) if name == "missing"));
     assert!(matches!(missing, SubmitError::MissingInput));
     assert_eq!(served.output.dim(0), 1);
@@ -579,15 +566,13 @@ fn session_model_ids_and_drop_without_shutdown() {
     drop(session);
 }
 
-/// Batch-segment sharding across the worker pool (plus row-tile sharding
-/// inside every frozen conv) must leave every output bit-identical to the
-/// direct standalone path — sharding changes scheduling only.
+/// Oversized requests on a multi-worker session (each chunked to the
+/// sweep cap inside the model, its waves and kernels on the exec pool)
+/// must leave every output bit-identical to the direct standalone path.
 #[test]
-fn sharded_serving_is_bit_exact_vs_direct() {
+fn oversized_requests_across_workers_are_bit_exact_vs_direct() {
     let mut reference = warmed_net(60);
     let rng = &mut CqRng::new(61);
-    // 9- and 7-row requests exceed shard_rows=2 and are split into ≤2-row
-    // segments executed cooperatively; singles ride normal sweeps.
     let inputs: Vec<Tensor> = [9usize, 1, 7, 2, 1]
         .iter()
         .map(|&b| request(rng, b))
@@ -599,7 +584,7 @@ fn sharded_serving_is_bit_exact_vs_direct() {
 
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(60));
-    let server = CimServer::new(
+    let session = CimServer::new(
         registry,
         ServeConfig::builder()
             .queue_capacity(16)
@@ -607,62 +592,35 @@ fn sharded_serving_is_bit_exact_vs_direct() {
             .max_batch(Some(4))
             .max_wait(Duration::from_millis(1))
             .workers(3)
-            .shard_rows(Some(2))
-            .row_tile_shards(Some(2))
             .build()
             .unwrap(),
+    )
+    .start();
+    let got = submit_and_wait(&session, &inputs);
+    let (stats, _) = session.shutdown();
+    assert_eq!(
+        got, want,
+        "oversized serving diverged from direct inference"
     );
-    let (got, stats) = server.serve(|s| {
-        let tickets: Vec<Ticket> = inputs
-            .iter()
-            .map(|x| s.submit(Request::to("m").batch(x.clone())).unwrap())
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.wait().output)
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(got, want, "sharded serving diverged from direct inference");
     assert_eq!(stats.served, 5);
-    assert!(
-        stats.sharded_sweeps >= 2,
-        "both oversized requests must shard, got {}",
-        stats.sharded_sweeps
-    );
-    // 9 rows -> 5 segments, 7 rows -> 4 segments (≤ 2 rows each).
-    assert!(
-        stats.shards_executed >= 9,
-        "expected ≥9 shard executions, got {}",
-        stats.shards_executed
-    );
+    assert_eq!(stats.max_sweep_rows, 9, "an oversized request sweeps alone");
 }
 
-/// One-worker sharding must not deadlock: the coordinator drains its own
-/// shard tasks from the pool while it waits for the join.
+/// A one-worker session serves an oversized request in one locked sweep
+/// (chunked inside the model) without deadlocking.
 #[test]
-fn single_worker_sharding_drains_its_own_pool() {
+fn single_worker_serves_oversized_request_bit_exactly() {
     let mut reference = warmed_net(62);
     let big = CqRng::new(63).normal_tensor(&[6, 3, 12, 12], 1.0);
     let want = reference.forward(&big, Mode::Eval);
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(62));
-    let server = CimServer::new(
-        registry,
-        ServeConfig::builder()
-            .workers(1)
-            .shard_rows(Some(2))
-            .build()
-            .unwrap(),
-    );
-    let (got, stats) = server.serve(|s| {
-        s.submit(Request::to("m").batch(big.clone()))
-            .unwrap()
-            .wait()
-            .output
-    });
-    assert_eq!(got, want);
-    assert_eq!(stats.sharded_sweeps, 1);
-    assert_eq!(stats.shards_executed, 3);
+    let session =
+        CimServer::new(registry, ServeConfig::builder().workers(1).build().unwrap()).start();
+    let got = submit_and_wait(&session, std::slice::from_ref(&big));
+    let (stats, _) = session.shutdown();
+    assert_eq!(got, [want]);
+    assert_eq!(stats.batches, 1);
 }
 
 /// The stream-class distribution helper still drives the replay loop —
@@ -671,15 +629,14 @@ fn single_worker_sharding_drains_its_own_pool() {
 fn request_builder_defaults_to_bulk() {
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(65));
-    let server = CimServer::new(registry, ServeConfig::default());
-    let (slo, stats) = server.serve(|s| {
-        let t = s
-            .submit(Request::to("m").batch(Tensor::zeros(&[1, 3, 12, 12])))
-            .unwrap();
-        assert_eq!(t.slo(), Slo::Bulk, "builder default class");
-        assert!(t.deadline().is_none(), "builder default deadline");
-        t.wait().slo
-    });
+    let session = CimServer::new(registry, ServeConfig::default()).start();
+    let t = session
+        .submit(Request::to("m").batch(Tensor::zeros(&[1, 3, 12, 12])))
+        .unwrap();
+    assert_eq!(t.slo(), Slo::Bulk, "builder default class");
+    assert!(t.deadline().is_none(), "builder default deadline");
+    let slo = t.wait().slo;
+    let (stats, _) = session.shutdown();
     assert_eq!(slo, Slo::Bulk);
     assert_eq!(stats.bulk.served, 1);
     assert_eq!(stats.latency.served, 0);

@@ -1,12 +1,11 @@
-//! Deterministic concurrency test harness for the SLO-aware scheduler,
-//! the work-stealing shard pool, and the pollable completion handles:
+//! Deterministic concurrency test harness for the SLO-aware scheduler
+//! and the pollable completion handles:
 //! seeded multi-producer stress over mixed `try_wait`/`wait_timeout`/
 //! `wait_any` spin+block resolution (no deadlock, no lost wakeup, no
 //! lost ticket), bit-exactness of every resolution path across the
 //! psq/granularity/digitizer matrix, the aging starvation bound under a
 //! sustained latency flood, latency-over-stale-bulk completion ordering,
-//! deadline `missed` stamping, and panic propagation out of sharded
-//! workers.
+//! deadline `missed` stamping, and panic propagation out of workers.
 
 use cq_cim::CimConfig;
 use cq_core::{
@@ -43,7 +42,7 @@ fn request(rng: &mut CqRng, batch: usize) -> Tensor {
 }
 
 /// Seeded-RNG stress: N producer threads submit mixed `Latency`/`Bulk`
-/// tickets (varied batch sizes, some oversized and sharded) against two
+/// tickets (varied batch sizes, some oversized and chunked) against two
 /// resident models through a small queue — and each producer resolves its
 /// tickets through a **different mix** of completion paths (blocking
 /// `wait`, `try_wait` spin, `wait_timeout` loop, `CompletionSet`
@@ -66,8 +65,6 @@ fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
         .max_batch(Some(3))
         .max_wait(Duration::from_micros(200))
         .workers(3)
-        .shard_rows(Some(2))
-        .row_tile_shards(Some(2))
         .build()
         .unwrap();
     let session = CimServer::new(registry, cfg).start();
@@ -192,10 +189,6 @@ fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
     assert!(
         stats.peak_queue_depth <= 8,
         "capacity bound violated under stress"
-    );
-    assert!(
-        stats.sharded_sweeps > 0,
-        "batch-5 requests over shard_rows=2 must shard"
     );
 }
 
@@ -476,7 +469,7 @@ fn latency_completes_before_stale_bulk() {
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(80));
     let max_wait = Duration::from_millis(1);
-    let server = CimServer::new(
+    let session = CimServer::new(
         registry,
         ServeConfig::builder()
             .queue_capacity(64)
@@ -486,41 +479,44 @@ fn latency_completes_before_stale_bulk() {
             .workers(1)
             .build()
             .unwrap(),
-    );
+    )
+    .start();
 
     let t0 = Instant::now();
-    let ((latency_done, bulk_done), stats) = server.serve(|s| {
-        let rng = &mut CqRng::new(81);
-        // A long plug occupies the single worker (32 rows, chunked into
-        // 16 internal sweeps) while everything else is submitted.
-        let plug = s.submit(Request::to("m").batch(request(rng, 32))).unwrap();
-        // Stale bulk backlog, submitted well over `max_wait` before the
-        // latency tickets below.
-        let bulk: Vec<(Duration, Ticket)> = (0..6)
-            .map(|_| {
-                let t = s.submit(Request::to("m").batch(request(rng, 1))).unwrap();
-                (t0.elapsed(), t)
-            })
-            .collect();
-        std::thread::sleep(3 * max_wait);
-        let latency: Vec<(Duration, Ticket)> = (0..6)
-            .map(|_| {
-                let t = s
-                    .submit(Request::to("m").batch(request(rng, 1)).slo(Slo::Latency))
-                    .unwrap();
-                (t0.elapsed(), t)
-            })
-            .collect();
-        let finish = |v: Vec<(Duration, Ticket)>| {
-            v.into_iter()
-                .map(|(at, t)| at + t.wait().latency)
-                .collect::<Vec<Duration>>()
-        };
-        let latency_done = finish(latency);
-        let bulk_done = finish(bulk);
-        let _ = plug.wait();
-        (latency_done, bulk_done)
-    });
+    let rng = &mut CqRng::new(81);
+    // A long plug occupies the single worker (32 rows, chunked into 16
+    // internal sweeps) while everything else is submitted.
+    let plug = session
+        .submit(Request::to("m").batch(request(rng, 32)))
+        .unwrap();
+    // Stale bulk backlog, submitted well over `max_wait` before the
+    // latency tickets below.
+    let bulk: Vec<(Duration, Ticket)> = (0..6)
+        .map(|_| {
+            let t = session
+                .submit(Request::to("m").batch(request(rng, 1)))
+                .unwrap();
+            (t0.elapsed(), t)
+        })
+        .collect();
+    std::thread::sleep(3 * max_wait);
+    let latency: Vec<(Duration, Ticket)> = (0..6)
+        .map(|_| {
+            let t = session
+                .submit(Request::to("m").batch(request(rng, 1)).slo(Slo::Latency))
+                .unwrap();
+            (t0.elapsed(), t)
+        })
+        .collect();
+    let finish = |v: Vec<(Duration, Ticket)>| {
+        v.into_iter()
+            .map(|(at, t)| at + t.wait().latency)
+            .collect::<Vec<Duration>>()
+    };
+    let latency_done = finish(latency);
+    let bulk_done = finish(bulk);
+    let _ = plug.wait();
+    let (stats, _) = session.shutdown();
 
     let last_latency = latency_done.iter().max().unwrap();
     let first_bulk = bulk_done.iter().min().unwrap();
@@ -550,38 +546,35 @@ fn expired_deadlines_complete_with_missed_status() {
 
     let mut registry = ModelRegistry::new();
     registry.register("m", prepared(90));
-    let server = CimServer::new(
-        registry,
-        ServeConfig::builder()
-            .queue_capacity(64)
-            .admission(Admission::Block)
-            .max_batch(Some(2))
-            .max_wait(Duration::ZERO)
-            .workers(1)
-            .build()
-            .unwrap(),
-    );
-    let (outcomes, stats) = server.serve(|s| {
-        // The plug guarantees the deadline below expires while queued.
-        let plug = s
-            .submit(Request::to("m").batch(plug_input.clone()))
-            .unwrap();
-        let tickets: Vec<Ticket> = inputs
-            .iter()
-            .map(|x| {
-                s.submit(
+    let cfg = ServeConfig::builder()
+        .queue_capacity(64)
+        .admission(Admission::Block)
+        .max_batch(Some(2))
+        .max_wait(Duration::ZERO)
+        .workers(1)
+        .build()
+        .unwrap();
+    let session = CimServer::new(registry, cfg.clone()).start();
+    // The plug guarantees the deadline below expires while queued.
+    let plug = session
+        .submit(Request::to("m").batch(plug_input.clone()))
+        .unwrap();
+    let tickets: Vec<Ticket> = inputs
+        .iter()
+        .map(|x| {
+            session
+                .submit(
                     Request::to("m")
                         .batch(x.clone())
                         .slo(Slo::Latency)
                         .deadline(Duration::ZERO),
                 )
                 .unwrap()
-            })
-            .collect();
-        let done: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
-        let _ = plug.wait();
-        done
-    });
+        })
+        .collect();
+    let outcomes: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+    let _ = plug.wait();
+    let (stats, models) = session.shutdown();
     for (completed, want) in outcomes.iter().zip(&want) {
         assert!(completed.missed, "zero deadline behind a plug must miss");
         assert_eq!(completed.slo, Slo::Latency);
@@ -590,45 +583,20 @@ fn expired_deadlines_complete_with_missed_status() {
     assert_eq!(stats.latency.missed, 4);
     assert_eq!(stats.latency.served, 4);
 
-    // A generous deadline under the same load does not miss.
-    let (completed, stats) = server.serve(|s| {
-        s.submit(
+    // A generous deadline on the handed-back model does not miss.
+    let session = CimServer::new(ModelRegistry::from_models(models), cfg).start();
+    let completed = session
+        .submit(
             Request::to("m")
                 .batch(inputs[0].clone())
                 .slo(Slo::Latency)
                 .deadline(Duration::from_secs(600)),
         )
         .unwrap()
-        .wait()
-    });
+        .wait();
+    let (stats, _) = session.shutdown();
     assert!(!completed.missed);
     assert_eq!(stats.latency.missed, 0);
-}
-
-/// A panicking shard executor must propagate: the failed join panics the
-/// coordinating worker, which abandons its tickets, which panics the
-/// waiting client — `serve` never deadlocks (the sharded extension of the
-/// PR 3 close-on-unwind guarantee).
-#[test]
-#[should_panic]
-fn panic_in_sharded_worker_propagates() {
-    let mut registry = ModelRegistry::new();
-    registry.register("m", prepared(95));
-    let server = CimServer::new(
-        registry,
-        ServeConfig::builder()
-            .workers(2)
-            .shard_rows(Some(1))
-            .build()
-            .unwrap(),
-    );
-    let ((), _) = server.serve(|s| {
-        // Wrong channel count on an oversized (sharded) request: every
-        // shard executor's forward rejects it.
-        let bad = Tensor::zeros(&[5, 5, 12, 12]);
-        let t = s.submit(Request::to("m").batch(bad)).unwrap();
-        let _ = t.wait(); // panics: the coordinator abandoned the ticket
-    });
 }
 
 /// A worker panic in the **owned** flow propagates out of `shutdown`

@@ -25,12 +25,10 @@
 //! this.
 //!
 //! [`BackendSet`] is an ordered fallback chain of backends; a layer
-//! resolves the first chain entry that supports its profile. The legacy
-//! [`PsumKernel`] enum survives as a thin compat constructor
-//! (`BackendSet::from(PsumKernel)`). The process-wide default chain is
-//! read once from the `CQ_BACKEND` environment variable
-//! (`auto` | `f32` | `int` | `scalar`, default `auto`) by
-//! [`BackendSet::standard`].
+//! resolves the first chain entry that supports its profile. The
+//! process-wide default chain is read once from the `CQ_BACKEND`
+//! environment variable (`auto` | `f32` | `int` | `scalar`, default
+//! `auto`) by [`BackendSet::standard`].
 
 use crate::conv::{conv2d_grouped_into, im2col_image};
 use crate::igemm::{accum_to_f32, igemm_into, im2col_i8, widen_i8_to_i32, PackedPanels};
@@ -38,8 +36,8 @@ use crate::{ConvShape, Tensor};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Identity of an execution backend — the unit of placement, fallback
-/// ordering, and per-backend serving statistics.
+/// Identity of an execution backend — the unit of fallback ordering and
+/// per-backend serving statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Serial loop-nest reference oracle ([`ScalarRef`]).
@@ -95,32 +93,20 @@ pub struct ConvProfile {
 /// recoverable configuration mistakes are reported, not panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
-    /// A shard placement named a backend that does not support the layer
-    /// (e.g. `IntPanels` on slices that are not integer-eligible).
-    Unsupported(BackendKind),
     /// No backend in the chain supports the layer.
     NoBackend(Vec<BackendKind>),
 }
 
 impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendError::Unsupported(k) => write!(
-                f,
-                "backend `{}` does not support this layer \
-                 (frozen slices not integer-eligible?)",
-                k.name()
-            ),
-            BackendError::NoBackend(kinds) => {
-                let names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
-                write!(
-                    f,
-                    "no backend in chain [{}] supports this layer \
-                     (frozen slices not integer-eligible?)",
-                    names.join(", ")
-                )
-            }
-        }
+        let BackendError::NoBackend(kinds) = self;
+        let names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
+        write!(
+            f,
+            "no backend in chain [{}] supports this layer \
+             (frozen slices not integer-eligible?)",
+            names.join(", ")
+        )
     }
 }
 
@@ -132,8 +118,8 @@ impl std::error::Error for BackendError {}
 /// the integer chain (`im2col_i8` → `widen_i8_to_i32` → `igemm_into` →
 /// `accum_to_f32`) is only driven when [`integer`](ExecBackend::integer)
 /// is `true`, and its default methods forward to the free-function
-/// kernels of this crate. Implementations must be `Send + Sync`: shard
-/// tasks call them from pooled worker threads.
+/// kernels of this crate. Implementations must be `Send + Sync`: kernel
+/// work items and pipeline waves call them from pooled worker threads.
 pub trait ExecBackend: Send + Sync + fmt::Debug {
     /// This backend's identity.
     fn kind(&self) -> BackendKind;
@@ -314,29 +300,6 @@ pub fn backend_instance(kind: BackendKind) -> Arc<dyn ExecBackend> {
     cells[kind.index()].clone()
 }
 
-/// Legacy kernel-family selector, kept as a thin compat constructor for
-/// [`BackendSet`] (`BackendSet::from(kernel)`): `Auto` maps to the
-/// `[IntPanels, SimdF32]` fallback chain, `F32` to `[SimdF32]`, `Int` to
-/// the no-fallback `[IntPanels]` chain.
-///
-/// Partial sums are exact integers well inside f32's 24-bit mantissa, so
-/// every backend is **bit-identical** where applicable — the choice is
-/// purely about speed. The digitizer is downstream of the psums, so both
-/// ideal and ADC digitizers run unchanged over any backend's output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PsumKernel {
-    /// The integer `i8×i8→i32` panel kernels whenever the frozen weight
-    /// slices are integer-exact, the f32 kernels otherwise (e.g. when
-    /// device variation has perturbed slices off-integer).
-    #[default]
-    Auto,
-    /// Always the f32 grouped-convolution kernels.
-    F32,
-    /// Require the integer kernels; selection fails if the frozen slices
-    /// are not integer-eligible.
-    Int,
-}
-
 /// An ordered fallback chain of execution backends.
 ///
 /// A layer resolves to the **first** chain entry whose capability probe
@@ -361,8 +324,7 @@ impl BackendSet {
         }
     }
 
-    /// `[IntPanels, SimdF32]` — integer kernels with f32 fallback (the
-    /// historical `PsumKernel::Auto`).
+    /// `[IntPanels, SimdF32]` — integer kernels with f32 fallback.
     pub fn auto() -> Self {
         Self::new(&[BackendKind::IntPanels, BackendKind::SimdF32])
     }
@@ -385,8 +347,8 @@ impl BackendSet {
 
     /// The process-wide default chain, read **once** from the
     /// `CQ_BACKEND` environment variable: `auto` (default), `f32`, `int`,
-    /// or `scalar`. Explicit `set_backends`/`set_psum_kernel` calls always
-    /// override this default.
+    /// or `scalar`. Explicit `set_backends` calls always override this
+    /// default.
     ///
     /// # Panics
     ///
@@ -424,30 +386,9 @@ impl BackendSet {
         self.chain.iter().map(|b| b.kind()).collect()
     }
 
-    /// Whether the chain contains `kind`.
-    pub fn contains(&self, kind: BackendKind) -> bool {
-        self.chain.iter().any(|b| b.kind() == kind)
-    }
-
     /// The first backend that supports `profile`, if any.
     pub fn resolve(&self, profile: &ConvProfile) -> Option<Arc<dyn ExecBackend>> {
         self.chain.iter().find(|b| b.supports(profile)).cloned()
-    }
-
-    /// The legacy [`PsumKernel`] view of this chain: `Auto` when it holds
-    /// `IntPanels` plus a fallback, `Int` for the bare `IntPanels` chain,
-    /// `F32` otherwise (including the scalar chain, which the closed enum
-    /// cannot name).
-    pub fn as_psum_kernel(&self) -> PsumKernel {
-        if self.contains(BackendKind::IntPanels) {
-            if self.chain.len() > 1 {
-                PsumKernel::Auto
-            } else {
-                PsumKernel::Int
-            }
-        } else {
-            PsumKernel::F32
-        }
     }
 }
 
@@ -458,16 +399,6 @@ impl PartialEq for BackendSet {
 }
 
 impl Eq for BackendSet {}
-
-impl From<PsumKernel> for BackendSet {
-    fn from(kernel: PsumKernel) -> Self {
-        match kernel {
-            PsumKernel::Auto => Self::auto(),
-            PsumKernel::F32 => Self::f32(),
-            PsumKernel::Int => Self::int(),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -522,27 +453,6 @@ mod tests {
             BackendSet::scalar().resolve(&ineligible).unwrap().kind(),
             BackendKind::Scalar
         );
-    }
-
-    /// The `PsumKernel` compat mapping is pinned in both directions.
-    #[test]
-    fn psum_kernel_compat_mapping_is_pinned() {
-        assert_eq!(
-            BackendSet::from(PsumKernel::Auto).kinds(),
-            vec![BackendKind::IntPanels, BackendKind::SimdF32]
-        );
-        assert_eq!(
-            BackendSet::from(PsumKernel::F32).kinds(),
-            vec![BackendKind::SimdF32]
-        );
-        assert_eq!(
-            BackendSet::from(PsumKernel::Int).kinds(),
-            vec![BackendKind::IntPanels]
-        );
-        for k in [PsumKernel::Auto, PsumKernel::F32, PsumKernel::Int] {
-            assert_eq!(BackendSet::from(k).as_psum_kernel(), k);
-        }
-        assert_eq!(BackendSet::scalar().as_psum_kernel(), PsumKernel::F32);
     }
 
     #[test]

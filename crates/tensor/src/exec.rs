@@ -27,67 +27,30 @@
 //! the pool, because a scope only sleeps once the queue is empty, at which
 //! point all of its remaining tasks are already running on other threads.
 //!
-//! # Backends
+//! # Thread accounting
 //!
-//! [`set_backend`] switches between the default pooled executor and a
-//! spawn-per-call reference backend that forks one OS thread per task, used
-//! by the throughput benchmark to measure what the pool saves. The switch is
-//! process-global and intended for single-threaded A/B harnesses only.
-//! [`os_threads_spawned`] counts every OS thread either backend has ever
-//! created; on the pooled path the count stops moving once the pool is warm,
-//! which the benchmark asserts.
+//! [`os_threads_spawned`] counts every OS thread the executor has ever
+//! created. The count stops moving once the pool is warm, which the
+//! throughput benchmark and the serving tests assert.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::matmul::max_threads;
 
-/// Count of OS threads ever spawned by this module (pool workers and
-/// spawn-per-call backend threads alike). Steady-state serving on the pooled
-/// backend leaves this flat; the throughput benchmark asserts exactly that.
+/// Count of OS threads ever spawned by this module (pool workers).
+/// Steady-state serving leaves this flat; the throughput benchmark asserts
+/// exactly that.
 static OS_THREADS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
 /// Total OS threads the executor has created since process start.
 pub fn os_threads_spawned() -> usize {
     OS_THREADS_SPAWNED.load(Ordering::Relaxed)
-}
-
-/// Which machinery [`scope`] uses to run spawned tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The persistent shared worker pool (default).
-    Pooled,
-    /// One fresh OS thread per spawned task — the pre-executor behaviour,
-    /// kept as a reference point for the throughput benchmark.
-    SpawnPerCall,
-}
-
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the executor backend. Process-global; meant for single-threaded
-/// benchmark harnesses that A/B the pooled path against spawn-per-call, not
-/// for concurrent use.
-pub fn set_backend(b: Backend) {
-    BACKEND.store(
-        match b {
-            Backend::Pooled => 0,
-            Backend::SpawnPerCall => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The currently selected executor backend.
-pub fn backend() -> Backend {
-    match BACKEND.load(Ordering::Relaxed) {
-        0 => Backend::Pooled,
-        _ => Backend::SpawnPerCall,
-    }
 }
 
 /// A queued unit of work. Jobs are always the panic-catching wrappers built
@@ -260,7 +223,6 @@ struct ScopeSync {
 pub struct Scope<'env> {
     pool: Arc<PoolShared>,
     state: Arc<ScopeState>,
-    spawn_per_call: bool,
     // Invariant over 'env, mirroring std::thread::Scope: spawned closures
     // may borrow from the environment both immutably and mutably.
     _env: PhantomData<&'env mut &'env ()>,
@@ -300,15 +262,7 @@ impl<'env> Scope<'env> {
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(job)
         };
-        if self.spawn_per_call {
-            OS_THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
-            std::thread::Builder::new()
-                .name("cq-spawn".into())
-                .spawn(job)
-                .expect("spawn reference-backend thread");
-        } else {
-            self.pool.push(job);
-        }
+        self.pool.push(job);
     }
 }
 
@@ -332,7 +286,6 @@ where
             }),
             done: Condvar::new(),
         }),
-        spawn_per_call: backend() == Backend::SpawnPerCall,
         _env: PhantomData,
     };
     // The body may panic after spawning tasks; those tasks still borrow the
@@ -371,6 +324,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serializes the tests that start standalone pools against the one
+    /// that asserts the global spawn counter stays flat: a pool started
+    /// mid-measurement would count as a respawn.
+    static SPAWN_COUNTER: Mutex<()> = Mutex::new(());
 
     #[test]
     fn scope_runs_borrowed_tasks() {
@@ -449,6 +407,7 @@ mod tests {
 
     #[test]
     fn install_routes_to_custom_pool() {
+        let _counter = SPAWN_COUNTER.lock().unwrap();
         let pool = ExecPool::with_threads(2);
         assert_eq!(pool.threads(), 2);
         let mut out = vec![0usize; 8];
@@ -464,6 +423,7 @@ mod tests {
 
     #[test]
     fn steady_state_spawns_no_threads() {
+        let _counter = SPAWN_COUNTER.lock().unwrap();
         // Warm the pool, then check repeated scopes leave the counter flat.
         scope(|s| s.spawn(|| {}));
         let before = os_threads_spawned();

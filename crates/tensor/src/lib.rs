@@ -42,7 +42,7 @@ mod tensor;
 pub use arena::ScratchArena;
 pub use backend::{
     backend_instance, BackendError, BackendKind, BackendSet, ConvProfile, ExecBackend, IntPanels,
-    PsumKernel, ScalarRef, SimdF32,
+    ScalarRef, SimdF32,
 };
 pub use conv::{
     conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_grouped, conv2d_grouped_into,
