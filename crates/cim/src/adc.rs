@@ -3,7 +3,7 @@
 //! voltage for each ADC, Vref, is set by the scale factor corresponding to
 //! its input partial-sums").
 
-use cq_quant::QuantFormat;
+use cq_quant::{round_clamped, QuantFormat};
 
 /// An ADC with a fixed resolution/format.
 ///
@@ -34,17 +34,76 @@ impl Adc {
     ///
     /// Panics if `scale` is not positive.
     pub fn convert(&self, analog: f32, scale: f32) -> f32 {
-        assert!(scale > 0.0, "ADC scale must be positive, got {scale}");
+        assert_positive(scale);
         let vs = analog / scale;
         if self.format.is_binary() {
-            if vs >= 0.0 {
-                1.0
-            } else {
-                -1.0
-            }
+            sign_code(vs)
         } else {
-            vs.clamp(-self.format.qn(), self.format.qp()).round()
+            round_clamped(vs.clamp(-self.format.qn(), self.format.qp()))
         }
+    }
+
+    /// Digitizes one physical column's psums against its scale and
+    /// accumulates the dequantized, merged-scale value into `out`:
+    /// `out[i] += (((convert(psums[i], scale) · scale) · sw) · shift) · gain`.
+    ///
+    /// The column-at-once form of [`Adc::convert`]: the scale check and
+    /// the format branch run once per column, so the per-value loop is
+    /// straight-line arithmetic the autovectorizer turns into SIMD. The
+    /// operation order is the per-value one, so results are bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is not positive.
+    pub fn convert_axpy(
+        &self,
+        psums: &[f32],
+        scale: f32,
+        sw: f32,
+        shift: f32,
+        gain: f32,
+        out: &mut [f32],
+    ) {
+        assert_positive(scale);
+        // One monomorphized loop per format, the code function inlined.
+        if self.format.is_binary() {
+            axpy_codes(psums, scale, sw, shift, gain, out, sign_code);
+        } else {
+            let (lo, hi) = (-self.format.qn(), self.format.qp());
+            axpy_codes(psums, scale, sw, shift, gain, out, |vs| {
+                round_clamped(vs.clamp(lo, hi))
+            });
+        }
+    }
+}
+
+/// `out[i] += (((code(psums[i] / scale) · scale) · sw) · shift) · gain`.
+#[inline(always)]
+fn axpy_codes(
+    psums: &[f32],
+    scale: f32,
+    sw: f32,
+    shift: f32,
+    gain: f32,
+    out: &mut [f32],
+    code: impl Fn(f32) -> f32,
+) {
+    for (yv, &pv) in out.iter_mut().zip(psums) {
+        *yv += (((code(pv / scale) * scale) * sw) * shift) * gain;
+    }
+}
+
+fn assert_positive(scale: f32) {
+    assert!(scale > 0.0, "ADC scale must be positive, got {scale}");
+}
+
+/// The binary (1-bit) converter: a sign detector, `0` reading as `+1`.
+#[inline]
+fn sign_code(vs: f32) -> f32 {
+    if vs >= 0.0 {
+        1.0
+    } else {
+        -1.0
     }
 }
 

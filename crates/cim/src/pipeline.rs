@@ -66,11 +66,12 @@ pub trait ColumnDigitizer: Sync {
     ///
     /// The provided body forwards to
     /// [`digitize`](ColumnDigitizer::digitize) per value, but it is
-    /// monomorphized per implementor, so that call inlines and the loop
-    /// vectorizes: dynamic dispatch happens once per **column**, not
-    /// once per value. Overrides must keep the exact multiply order
-    /// (digitize, `· sw`, `· shift`, `· gain`) — outputs are pinned
-    /// bit-exact across every execution path.
+    /// monomorphized per implementor, so that call inlines: dynamic
+    /// dispatch happens once per **column**, not once per value. The loop
+    /// vectorizes only if `digitize` is straight-line, so [`AdcDigitizer`]
+    /// overrides it to hoist its per-column work. Overrides must keep the
+    /// exact multiply order (digitize, `· sw`, `· shift`, `· gain`) —
+    /// outputs are pinned bit-exact across every execution path.
     #[allow(clippy::too_many_arguments)] // mirrors `digitize`'s column coordinates plus the three merged scales
     fn digitize_axpy(
         &self,
@@ -136,13 +137,37 @@ impl<'a> AdcDigitizer<'a> {
             out_ch: plan.out_ch,
         }
     }
+
+    /// The psum scale `s_p` of physical column (`split`, `row_tile`, `oc`).
+    #[inline]
+    fn scale(&self, split: usize, row_tile: usize, oc: usize) -> f32 {
+        self.scales[(split * self.num_row_tiles + row_tile) * self.out_ch + oc]
+    }
 }
 
 impl ColumnDigitizer for AdcDigitizer<'_> {
     #[inline]
     fn digitize(&self, analog: f32, split: usize, row_tile: usize, oc: usize) -> f32 {
-        let sp = self.scales[(split * self.num_row_tiles + row_tile) * self.out_ch + oc];
+        let sp = self.scale(split, row_tile, oc);
         self.adc.convert(analog, sp) * sp
+    }
+
+    /// Looks `s_p` up once per column and converts the whole column with
+    /// [`Adc::convert_axpy`], which keeps the per-value operation order.
+    #[allow(clippy::too_many_arguments)]
+    fn digitize_axpy(
+        &self,
+        psums: &[f32],
+        split: usize,
+        row_tile: usize,
+        oc: usize,
+        sw: f32,
+        shift: f32,
+        gain: f32,
+        out: &mut [f32],
+    ) {
+        let sp = self.scale(split, row_tile, oc);
+        self.adc.convert_axpy(psums, sp, sw, shift, gain, out);
     }
 }
 
@@ -1170,6 +1195,98 @@ mod tests {
             dig.digitize(0.37, 1, 0, 0),
             AdcDigitizer::new(adc, &scales, &p).digitize(0.37, 1, 0, 0)
         );
+    }
+
+    /// Forwards only `digitize`, so `digitize_axpy` is the trait's
+    /// per-value default body — the reference for column-at-once
+    /// overrides.
+    struct PerValue<D>(D);
+
+    impl<D: ColumnDigitizer> ColumnDigitizer for PerValue<D> {
+        fn digitize(&self, analog: f32, split: usize, row_tile: usize, oc: usize) -> f32 {
+            self.0.digitize(analog, split, row_tile, oc)
+        }
+    }
+
+    /// Psums that stress the converter: signed zeros, exact grid ties
+    /// `k·s_p + s_p/2`, values far outside the range, and off-integer
+    /// values like a [`PerturbedDigitizer`] feeds its inner ADC.
+    fn adversarial_psums(sp: f32, rng: &mut CqRng) -> Vec<f32> {
+        let mut v = vec![0.0, -0.0, 1e6, -1e6, 3.0e4 * sp, -3.0e4 * sp];
+        for k in -20..20 {
+            let tie = k as f32 * sp + sp / 2.0;
+            v.extend([tie, -tie, k as f32 * sp]);
+        }
+        for _ in 0..64 {
+            let p = rng.uniform_in(-40.0, 40.0).round();
+            v.push(p * rng.lognormal_factor(0.3));
+        }
+        v
+    }
+
+    /// `AdcDigitizer::digitize_axpy` converts a whole column at once; it
+    /// must equal the per-value default body bit for bit, alone and inside
+    /// a [`HybridDigitizer`], for binary, signed and unsigned converters.
+    #[test]
+    fn adc_column_axpy_matches_per_value_default() {
+        let cfg = CimConfig::tiny();
+        let p = TilingPlan::new(&cfg, 40, 3, 3, 3);
+        let n = p.num_splits * p.num_row_tiles * p.out_ch;
+        // Mixed scales: powers of two make the ties exact, the rest do not.
+        let scales: Vec<f32> = (0..n)
+            .map(|i| [0.5, 0.37, 2.0, 0.011, 1.0, 0.25][i % 6])
+            .collect();
+        let mut rng = CqRng::new(0xADC);
+        for fmt in [
+            QuantFormat::signed(1),
+            QuantFormat::signed(3),
+            QuantFormat::unsigned(4),
+        ] {
+            let adc = Adc::new(fmt);
+            let dig = AdcDigitizer::new(adc, &scales, &p);
+            let hybrid = HybridDigitizer::new(dig.clone(), 1);
+            let cases: [(&dyn ColumnDigitizer, &dyn ColumnDigitizer); 2] = [
+                (&dig, &PerValue(dig.clone())),
+                (&hybrid, &PerValue(hybrid.clone())),
+            ];
+            for (fast, reference) in cases {
+                for split in 0..p.num_splits {
+                    for g in 0..p.num_row_tiles {
+                        for oc in 0..p.out_ch {
+                            let sp = scales[(split * p.num_row_tiles + g) * p.out_ch + oc];
+                            let psums = adversarial_psums(sp, &mut rng);
+                            let init: Vec<f32> =
+                                (0..psums.len()).map(|i| 0.1 * i as f32 - 3.0).collect();
+                            let (mut got, mut want) = (init.clone(), init);
+                            fast.digitize_axpy(&psums, split, g, oc, 0.013, 4.0, 0.3, &mut got);
+                            reference
+                                .digitize_axpy(&psums, split, g, oc, 0.013, 4.0, 0.3, &mut want);
+                            let bits =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{fmt:?} split {split} tile {g} oc {oc}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A non-positive column scale is a broken calibration: the column
+    /// path must refuse it just like the per-value `Adc::convert`.
+    #[test]
+    #[should_panic(expected = "must be positive")]
+    fn adc_column_axpy_rejects_nonpositive_scale() {
+        let cfg = CimConfig::tiny();
+        let p = TilingPlan::new(&cfg, 3, 2, 3, 3);
+        let mut scales = vec![0.5f32; p.num_splits * p.num_row_tiles * p.out_ch];
+        scales[1] = 0.0;
+        let dig = AdcDigitizer::new(Adc::new(QuantFormat::signed(3)), &scales, &p);
+        let mut out = vec![0.0f32; 4];
+        dig.digitize_axpy(&[1.0, 2.0, 3.0, 4.0], 0, 0, 1, 1.0, 1.0, 1.0, &mut out);
     }
 
     /// Bias and activation scale are applied exactly once, in the engine's

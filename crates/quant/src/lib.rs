@@ -12,6 +12,8 @@
 //! * [`BitSplit`] — two's-complement slicing of integer weights into
 //!   per-cell values with a signed top slice (paper Sec. III-C), exact
 //!   under shift-and-add reassembly.
+//! * [`round_clamped`] — branch-free `f32::round` for values already
+//!   clamped onto a quantization grid, so per-value loops vectorize.
 //!
 //! ## Example
 //!
@@ -31,8 +33,10 @@ mod bitsplit;
 mod granularity;
 mod lsq;
 mod qformat;
+mod round;
 
 pub use bitsplit::BitSplit;
 pub use granularity::{Granularity, GroupLayout};
 pub use lsq::{LsqQuantizer, SCALE_EPS};
 pub use qformat::QuantFormat;
+pub use round::round_clamped;

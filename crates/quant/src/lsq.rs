@@ -12,7 +12,7 @@
 //! `∂v̂/∂s = v_int − v/s` in range, `−Qn`/`Qp` when clamped, multiplied by
 //! the gradient scale `g = 1/sqrt(N_g · Qp)`.
 
-use crate::{GroupLayout, QuantFormat};
+use crate::{round_clamped, GroupLayout, QuantFormat};
 use cq_tensor::Tensor;
 
 /// Smallest representable scale; keeps SGD from driving scales to zero or
@@ -210,8 +210,7 @@ impl LsqQuantizer {
             } => {
                 let data = out.data_mut();
                 let block = inner * channels;
-                for (bi, blockslice) in data.chunks_mut(block).enumerate() {
-                    debug_assert!(bi < usize::MAX);
+                for blockslice in data.chunks_mut(block) {
                     for (ch, chunk) in blockslice.chunks_mut(*inner).enumerate() {
                         let s = self.scales[map[ch] as usize];
                         for x in chunk {
@@ -395,7 +394,7 @@ fn quantize_one(v: f32, s: f32, qn: f32, qp: f32, binary: bool) -> f32 {
             -1.0
         }
     } else {
-        vs.clamp(-qn, qp).round()
+        round_clamped(vs.clamp(-qn, qp))
     }
 }
 

@@ -109,40 +109,72 @@ impl PackedPanels {
 /// `img` is the `[C, H, W]` slice of a single image whose values must be
 /// exact integers in `[-128, 127]` (quantized activations are; debug
 /// builds assert it).
+///
+/// Every patch row is a run of zeros, one in-bounds span, and zeros
+/// again. The span `[lo, hi)` of output columns depends only on the
+/// kernel column, so it is computed once per `kj`; the span is a
+/// branch-free narrowing loop, unit-stride (which vectorizes) or a
+/// strided gather.
 pub fn im2col_i8(img: &[f32], c_start: usize, c_len: usize, s: &ConvShape, col: &mut [i8]) {
     let (h, w) = (s.in_h, s.in_w);
     let ohw = s.out_h * s.out_w;
     debug_assert_eq!(col.len(), c_len * s.kh * s.kw * ohw);
-    for c_local in 0..c_len {
-        let ch = &img[(c_start + c_local) * h * w..(c_start + c_local + 1) * h * w];
+    // In-bounds output columns of kernel column `kj`: the `ow` with
+    // `0 <= ow·stride + kj - pad < w`.
+    let span = |kj: usize| {
+        let lo = s.pad.saturating_sub(kj).div_ceil(s.stride).min(s.out_w);
+        let hi = (w + s.pad)
+            .saturating_sub(kj)
+            .div_ceil(s.stride)
+            .min(s.out_w);
+        (lo, hi.max(lo))
+    };
+    let block = &img[c_start * h * w..(c_start + c_len) * h * w];
+    for (c_local, ch) in block.chunks_exact(h * w).enumerate() {
         for ki in 0..s.kh {
             for kj in 0..s.kw {
+                let (lo, hi) = span(kj);
                 let row = ((c_local * s.kh + ki) * s.kw + kj) * ohw;
                 for oh in 0..s.out_h {
                     let ih = (oh * s.stride + ki) as isize - s.pad as isize;
                     let dst = &mut col[row + oh * s.out_w..row + (oh + 1) * s.out_w];
-                    if ih < 0 || ih as usize >= h {
+                    if ih < 0 || ih as usize >= h || lo == hi {
                         dst.fill(0);
                         continue;
                     }
                     let src_row = &ch[ih as usize * w..(ih as usize + 1) * w];
-                    for (ow, d) in dst.iter_mut().enumerate() {
-                        let iw = (ow * s.stride + kj) as isize - s.pad as isize;
-                        *d = if iw < 0 || iw as usize >= w {
-                            0
-                        } else {
-                            let v = src_row[iw as usize];
-                            debug_assert!(
-                                v == v.round() && (-128.0..=127.0).contains(&v),
-                                "activation {v} is not an i8 integer"
-                            );
-                            v as i8
-                        };
+                    // First in-bounds input column.
+                    let iw0 = lo * s.stride + kj - s.pad;
+                    dst[..lo].fill(0);
+                    dst[hi..].fill(0);
+                    let dst = &mut dst[lo..hi];
+                    if s.stride == 1 {
+                        for (d, &v) in dst.iter_mut().zip(&src_row[iw0..]) {
+                            *d = narrow_i8(v);
+                        }
+                    } else {
+                        let src = src_row[iw0..].iter().step_by(s.stride);
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d = narrow_i8(v);
+                        }
                     }
                 }
             }
         }
     }
+}
+
+/// Narrows an f32-carried integer in `[-128, 127]` to i8 with one add and
+/// a truncation, no saturating float→int conversion: adding `1.5·2²³`
+/// moves the value into the binade where the f32 spacing is 1, so the low
+/// mantissa byte is its two's-complement i8.
+#[inline(always)]
+fn narrow_i8(v: f32) -> i8 {
+    debug_assert!(
+        v == v.round() && (-128.0..=127.0).contains(&v),
+        "activation {v} is not an i8 integer"
+    );
+    (v + 12_582_912.0).to_bits() as i8
 }
 
 /// Widens an i8 matrix to the i32 operand [`igemm_into`] streams.
@@ -323,20 +355,36 @@ mod tests {
 
     /// The full integer chain — im2col-i8, widen, panel igemm, f32
     /// epilogue — reproduces the f32 grouped convolution bit-for-bit on
-    /// integer data.
+    /// integer data, including the geometries where im2col's in-bounds
+    /// column span is clipped, strided or empty.
     #[test]
     fn integer_conv_chain_matches_f32_grouped_conv() {
-        for &(batch, groups, cg, ocg, hw, kk, stride, pad) in &[
+        // (batch, groups, c/group, oc/group, in_h, in_w, k, stride, pad)
+        for &(batch, groups, cg, ocg, in_h, in_w, kk, stride, pad) in &[
             (
-                2usize, 3usize, 2usize, 4usize, 6usize, 3usize, 1usize, 1usize,
+                2usize, 3usize, 2usize, 4usize, 6usize, 6usize, 3usize, 1usize, 1usize,
             ),
-            (1, 1, 3, 5, 5, 3, 2, 1),
-            (1, 2, 4, 2, 5, 1, 1, 0),
+            (1, 1, 3, 5, 5, 5, 3, 2, 1),
+            (1, 2, 4, 2, 5, 5, 1, 1, 0),
+            // 1×1 stride-2 pad-0: the ResNet shortcut, even and odd sizes.
+            (2, 1, 4, 3, 8, 8, 1, 2, 0),
+            (1, 2, 3, 2, 7, 7, 1, 2, 0),
+            // Stride 2 with pad 1 on a non-square image.
+            (1, 2, 3, 4, 8, 7, 3, 2, 1),
+            // pad ≥ kw: border output columns see only padding ...
+            (1, 1, 2, 2, 3, 3, 2, 1, 3),
+            // ... and here the in-bounds input row 1 has an empty span.
+            (1, 1, 2, 3, 3, 1, 1, 3, 2),
+            // in_w < kw, at stride 1 and 2.
+            (1, 2, 2, 3, 5, 2, 3, 1, 1),
+            (1, 1, 2, 2, 6, 1, 3, 2, 1),
+            // Four groups: im2col reads channel blocks at c_start = 3, 6, 9.
+            (2, 4, 3, 2, 5, 6, 3, 1, 1),
         ] {
             let c = groups * cg;
             let x = Tensor::from_vec(
-                int_filled(batch * c * hw * hw, 11, 0, 7),
-                &[batch, c, hw, hw],
+                int_filled(batch * c * in_h * in_w, 11, -8, 7),
+                &[batch, c, in_h, in_w],
             );
             let w = Tensor::from_vec(
                 int_filled(groups * ocg * cg * kk * kk, 13, -4, 3),
@@ -355,11 +403,12 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            let in_img = c * hw * hw;
+            let in_img = c * in_h * in_w;
             let out_img = s.out_ch * cc;
             for b in 0..batch {
                 let img = &x.data()[b * in_img..(b + 1) * in_img];
                 for (g, panel) in panels.iter().enumerate() {
+                    col.fill(99); // every entry must be overwritten
                     im2col_i8(img, g * cg, cg, &s, &mut col);
                     widen_i8_to_i32(&col, &mut b32);
                     acc.fill(0);
@@ -369,7 +418,10 @@ mod tests {
                     accum_to_f32(&acc, out_g);
                 }
             }
-            assert_eq!(got, want, "batch={batch} groups={groups} k={kk}");
+            assert_eq!(
+                got, want,
+                "batch={batch} groups={groups} {in_h}×{in_w} k={kk} stride={stride} pad={pad}"
+            );
         }
     }
 
