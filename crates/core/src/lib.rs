@@ -42,12 +42,10 @@
 #![warn(missing_docs)]
 
 mod cim_conv;
-mod cim_linear;
 mod model;
 mod prepared;
 
 pub use cim_conv::{CimConv2d, VariationCfg, VariationMode};
-pub use cim_linear::CimLinear;
 // The shared execution layer both conv paths drive (lives in `cq-cim`;
 // re-exported here because it is the framework's central abstraction).
 pub use cq_cim::{

@@ -11,10 +11,15 @@
 //!
 //! [`PreparedCimModel::infer_batch`] additionally **coalesces micro
 //! batches**: many small requests are concatenated into one batch and
-//! swept through the network in a single `batch × row-tile` parallel pass,
-//! then split back per request. Every layer in this workspace processes
-//! batch elements independently with a fixed f32 operation order, so
-//! coalescing is also bit-exact per sample.
+//! swept through the network in one forward pass, then split back per
+//! request. Every layer in this workspace processes batch elements
+//! independently with a fixed f32 operation order, so coalescing is also
+//! bit-exact per sample.
+//!
+//! A prepared model serves through shared state (`&self`), so one model
+//! can serve many threads at once without a lock. Its policy setters
+//! (`set_max_batch`, `set_pipeline_depth`, `set_backends`) take
+//! `&mut self` and apply before the model is shared.
 //!
 //! Sweeps are additionally **cross-layer pipelined** (see
 //! [`PreparedCimModel::set_pipeline_depth`]): a sweep's batch rows are
@@ -27,8 +32,9 @@
 
 use crate::{for_each_cim_conv, load_cim_checkpoint};
 use cq_cim::{BackendError, BackendKind, BackendSet};
-use cq_nn::{Layer, Mode};
+use cq_nn::Layer;
 use cq_tensor::{exec, Tensor};
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::Path;
 
@@ -53,10 +59,29 @@ pub struct PreparedCimModel {
     model: Box<dyn Layer>,
     /// Upper bound on coalesced rows per forward sweep (`None` = merge
     /// everything into one sweep).
-    max_batch: Option<usize>,
+    max_batch: Option<NonZeroUsize>,
     /// Number of concurrent waves a multi-row sweep is split into (see
     /// [`PreparedCimModel::set_pipeline_depth`]); `1` disables pipelining.
     pipeline_depth: usize,
+    /// The scheme name (see [`PreparedCimModel::scheme`]), fixed at
+    /// preparation.
+    scheme: Box<str>,
+    /// Frozen CIM layers per resolved backend, refreshed by
+    /// [`PreparedCimModel::set_backends`] — the only mutation that can
+    /// change it.
+    backend_layers: [usize; 3],
+}
+
+/// Counts `model`'s frozen CIM layers by resolved backend, indexed by
+/// [`BackendKind::index`]; unfrozen layers count nowhere.
+fn backend_layer_counts(model: &mut dyn Layer) -> [usize; 3] {
+    let mut counts = [0usize; 3];
+    for_each_cim_conv(model, |c| {
+        if let Some(kind) = c.active_backend() {
+            counts[kind.index()] += 1;
+        }
+    });
+    counts
 }
 
 impl PreparedCimModel {
@@ -68,10 +93,19 @@ impl PreparedCimModel {
     /// scales.
     pub fn new(mut model: Box<dyn Layer>) -> Self {
         freeze_model(model.as_mut());
+        let mut scheme: Option<Box<str>> = None;
+        for_each_cim_conv(model.as_mut(), |c| {
+            if scheme.is_none() {
+                scheme = c.scheme_name().map(Box::from);
+            }
+        });
+        let backend_layers = backend_layer_counts(model.as_mut());
         Self {
             model,
             max_batch: None,
             pipeline_depth: 2,
+            scheme: scheme.unwrap_or_else(|| "custom".into()),
+            backend_layers,
         }
     }
 
@@ -91,8 +125,8 @@ impl PreparedCimModel {
     /// (`None` = unbounded). Chunking changes wall-clock behaviour only —
     /// per-sample outputs stay bit-identical.
     pub fn set_max_batch(&mut self, max_batch: Option<usize>) {
-        assert!(max_batch != Some(0), "max_batch must be positive");
-        self.max_batch = max_batch;
+        self.max_batch =
+            max_batch.map(|n| NonZeroUsize::new(n).expect("max_batch must be positive"));
     }
 
     /// The active sweep cap (`None` = unbounded) — the introspection
@@ -101,7 +135,7 @@ impl PreparedCimModel {
     /// cap on every resident model, so after a serving round-trip this
     /// reflects the last server's policy, not the pre-registration value.
     pub fn max_batch(&self) -> Option<usize> {
-        self.max_batch
+        self.max_batch.map(NonZeroUsize::get)
     }
 
     /// Sets how many concurrent **waves** a multi-row sweep is split into
@@ -127,33 +161,24 @@ impl PreparedCimModel {
         self.pipeline_depth
     }
 
-    /// Serves one already-batched tensor `[B, C, H, W]`, cross-layer
-    /// pipelined per [`set_pipeline_depth`](Self::set_pipeline_depth).
-    pub fn infer(&mut self, images: &Tensor) -> Tensor {
-        if self.pipeline_depth > 1 && images.dim(0) > 1 {
-            self.infer_shared(images)
-        } else {
-            self.model.forward(images, Mode::Eval)
-        }
-    }
-
-    /// Serves one batch through **shared state** (`&self`): several
-    /// threads may call this concurrently on one prepared model. It is
-    /// also the body of the cross-layer pipeline: multi-row batches are
-    /// split into waves per [`set_pipeline_depth`](Self::set_pipeline_depth)
-    /// and each wave runs this shared-eval forward as a pool task.
-    /// Bit-identical to [`PreparedCimModel::infer`] (pinned by tests); it
-    /// does **not** apply `max_batch` chunking.
+    /// Serves one already-batched tensor `[B, C, H, W]` through shared
+    /// state (`&self`): several threads may call this concurrently on one
+    /// prepared model. A single row, or depth 1, is one shared-eval
+    /// forward; otherwise the rows are split into
+    /// [`set_pipeline_depth`](Self::set_pipeline_depth) contiguous waves
+    /// that run that forward concurrently as pool tasks. Bit-identical to
+    /// the unprepared eval forward at every depth; it does **not** apply
+    /// `max_batch` chunking (see [`infer_batch`](Self::infer_batch)).
     ///
     /// # Panics
     ///
     /// Panics if any layer cannot serve through shared state (cannot
     /// happen for models built by this workspace: every CIM conv is
     /// frozen at preparation and every other layer is stateless in eval).
-    pub fn infer_shared(&self, images: &Tensor) -> Tensor {
+    pub fn infer(&self, images: &Tensor) -> Tensor {
         let b = images.dim(0);
         let depth = self.pipeline_depth.min(b).max(1);
-        if depth <= 1 {
+        if depth == 1 {
             return self
                 .model
                 .forward_shared(images)
@@ -210,6 +235,7 @@ impl PreparedCimModel {
                 err.get_or_insert(e);
             }
         });
+        self.backend_layers = backend_layer_counts(self.model.as_mut());
         match err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -221,48 +247,29 @@ impl PreparedCimModel {
     /// `"custom"` when no layer records one (models built straight from
     /// granularities). The serving registry attributes per-model images
     /// under this key.
-    pub fn scheme(&mut self) -> String {
-        let mut found: Option<String> = None;
-        for_each_cim_conv(self.model.as_mut(), |c| {
-            if found.is_none() {
-                if let Some(s) = c.scheme_name() {
-                    found = Some(s.to_string());
-                }
-            }
-        });
-        found.unwrap_or_else(|| "custom".into())
+    pub fn scheme(&self) -> &str {
+        &self.scheme
     }
 
     /// Counts `(layers dispatching to the integer kernels, total CIM
     /// layers)` — the observability hook tests and benchmarks use to
     /// assert which kernel actually ran.
-    pub fn count_integer_kernels(&mut self) -> (usize, usize) {
-        let (mut active, mut total) = (0usize, 0usize);
-        for_each_cim_conv(self.model.as_mut(), |c| {
-            total += 1;
-            active += c.integer_kernel_active() as usize;
-        });
-        (active, total)
+    pub fn count_integer_kernels(&self) -> (usize, usize) {
+        let counts = self.backend_layers;
+        (counts[BackendKind::IntPanels.index()], counts.iter().sum())
     }
 
     /// Counts frozen CIM layers by resolved backend, indexed by
     /// [`BackendKind::index`] — the per-backend observability hook behind
-    /// `ServeStats` and the serving benches. Unfrozen layers count
-    /// nowhere.
-    pub fn backend_layer_counts(&mut self) -> [usize; 3] {
-        let mut counts = [0usize; 3];
-        for_each_cim_conv(self.model.as_mut(), |c| {
-            if let Some(kind) = c.active_backend() {
-                counts[kind.index()] += 1;
-            }
-        });
-        counts
+    /// `ServeStats` and the serving benches.
+    pub fn backend_layer_counts(&self) -> [usize; 3] {
+        self.backend_layers
     }
 
     /// The backend serving the most frozen layers (`None` when no layer
     /// is frozen); ties prefer `IntPanels`, then `SimdF32`, then
     /// `Scalar` — the order of increasing generality.
-    pub fn primary_backend(&mut self) -> Option<BackendKind> {
+    pub fn primary_backend(&self) -> Option<BackendKind> {
         let counts = self.backend_layer_counts();
         // `max_by_key` keeps the last of equally-maximal entries, so
         // iterating in increasing preference implements the tie-break.
@@ -289,8 +296,8 @@ impl PreparedCimModel {
     /// # Panics
     ///
     /// Panics if requests disagree on the non-batch dimensions.
-    pub fn infer_batch(&mut self, requests: &[Tensor]) -> Vec<Tensor> {
-        let cap = self.max_batch.unwrap_or(usize::MAX);
+    pub fn infer_batch(&self, requests: &[Tensor]) -> Vec<Tensor> {
+        let cap = self.max_batch.map_or(usize::MAX, NonZeroUsize::get);
         // One (request, row-range) segment per sweep contribution; an
         // oversized request spans several sweeps.
         let mut sweep: Vec<(usize, Range<usize>)> = Vec::new();
@@ -332,7 +339,7 @@ impl PreparedCimModel {
     /// Runs one coalesced forward over the `sweep` segments and appends
     /// each segment's output slice to its request's parts; drains `sweep`.
     fn run_sweep(
-        &mut self,
+        &self,
         requests: &[Tensor],
         sweep: &mut Vec<(usize, Range<usize>)>,
         parts: &mut [Vec<Tensor>],
@@ -373,12 +380,6 @@ impl PreparedCimModel {
         sweep.clear();
     }
 
-    /// Mutable access to the underlying model (e.g. for re-freezing after
-    /// a variation sweep).
-    pub fn model_mut(&mut self) -> &mut dyn Layer {
-        self.model.as_mut()
-    }
-
     /// Unfreezes and returns the underlying model.
     pub fn into_inner(mut self) -> Box<dyn Layer> {
         unfreeze_model(self.model.as_mut());
@@ -391,7 +392,7 @@ mod tests {
     use super::*;
     use crate::{build_cim_resnet, save_cim_checkpoint, QuantScheme};
     use cq_cim::CimConfig;
-    use cq_nn::{ResNet, ResNetSpec};
+    use cq_nn::{Mode, ResNet, ResNetSpec};
     use cq_tensor::CqRng;
 
     /// A small CIM ResNet with all lazy scales initialized.
@@ -412,7 +413,7 @@ mod tests {
         let mut net = warmed_net(1);
         let x = CqRng::new(2).normal_tensor(&[3, 3, 12, 12], 1.0);
         let want = net.forward(&x, Mode::Eval);
-        let mut pm = PreparedCimModel::new(Box::new(net));
+        let pm = PreparedCimModel::new(Box::new(net));
         assert_eq!(pm.infer(&x), want, "prepared forward diverged");
         assert_eq!(pm.infer(&x), want, "second prepared forward diverged");
     }
@@ -480,29 +481,22 @@ mod tests {
                     pm.set_pipeline_depth(depth);
                     assert_eq!(pm.pipeline_depth(), depth);
                     assert_eq!(pm.infer(&x), want, "width={width} depth={depth}");
-                    assert_eq!(
-                        pm.infer_shared(&x),
-                        want,
-                        "shared width={width} depth={depth}"
-                    );
                 }
             });
         }
     }
 
-    /// The shared (`&self`) path must equal the exclusive path bit-for-bit,
-    /// including under concurrent callers.
+    /// `infer` through `&self` must equal the unprepared forward
+    /// bit-for-bit under concurrent callers on one model.
     #[test]
     fn shared_inference_matches_exclusive_path() {
         let mut net = warmed_net(11);
         let x = CqRng::new(12).normal_tensor(&[3, 3, 12, 12], 1.0);
         let want = net.forward(&x, Mode::Eval);
-        let mut pm = PreparedCimModel::new(Box::new(net));
-        assert_eq!(pm.infer(&x), want);
-        let pm = &pm;
+        let pm = &PreparedCimModel::new(Box::new(net));
         std::thread::scope(|sc| {
             for _ in 0..3 {
-                sc.spawn(|| assert_eq!(pm.infer_shared(&x), want, "shared path diverged"));
+                sc.spawn(|| assert_eq!(pm.infer(&x), want, "shared path diverged"));
             }
         });
     }
@@ -523,7 +517,7 @@ mod tests {
             &QuantScheme::ours(),
             999,
         );
-        let mut pm = PreparedCimModel::restore(Box::new(fresh), &path).unwrap();
+        let pm = PreparedCimModel::restore(Box::new(fresh), &path).unwrap();
         assert_eq!(pm.infer(&x), want, "restored prepared model diverged");
         std::fs::remove_file(&path).ok();
     }

@@ -11,8 +11,8 @@
 
 use cq_cim::CimConfig;
 use cq_core::{
-    build_cim_resnet, for_each_cim_conv, set_psum_quant_enabled, set_variation, BackendSet,
-    CimConv2d, PreparedCimModel, QuantScheme, VariationCfg, VariationMode,
+    build_cim_resnet, set_psum_quant_enabled, set_variation, BackendSet, CimConv2d,
+    PreparedCimModel, QuantScheme, VariationCfg, VariationMode,
 };
 use cq_nn::{Layer, Mode, ResNetSpec};
 use cq_quant::Granularity;
@@ -237,12 +237,7 @@ fn prepared_model_idempotent_and_coalescing_exact() {
         .collect();
 
     let mut pm = PreparedCimModel::new(Box::new(net));
-    let mut frozen_layers = 0;
-    for_each_cim_conv(pm.model_mut(), |c| {
-        if c.is_frozen() {
-            frozen_layers += 1;
-        }
-    });
+    let frozen_layers: usize = pm.backend_layer_counts().iter().sum();
     assert_eq!(frozen_layers, 8, "every CIM conv frozen");
 
     let first = pm.infer_batch(&requests);
@@ -289,7 +284,7 @@ fn mixed_requests(seed: u64) -> [Tensor; 2] {
 /// psq {off, on} × granularity × {clean, variation} × backend chain ×
 /// pipeline depth {1, 2, 3}: every cell of the pipelined whole-model
 /// engine must equal the unpipelined forced-f32 oracle bit-for-bit, on the
-/// batched and on the shared (`&self`) path. Under the `auto` chain clean
+/// coalescing `infer_batch` and on the single-tensor `infer`. Under the `auto` chain clean
 /// cells run the integer panels in every conv and variation cells fall
 /// back to f32 in every conv.
 #[test]
@@ -320,7 +315,7 @@ fn pipelined_model_matrix_is_bit_exact_on_every_backend() {
                         let ctx = format!("{ctx} {backends:?} depth={depth}");
                         assert_eq!(pm.infer_batch(&requests), want, "{ctx}: infer_batch");
                         for (req, w) in requests.iter().zip(&want) {
-                            assert_eq!(&pm.infer_shared(req), w, "{ctx}: infer_shared");
+                            assert_eq!(&pm.infer(req), w, "{ctx}: infer");
                         }
                     }
                 }

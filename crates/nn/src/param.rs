@@ -86,10 +86,10 @@ pub enum Mode {
 /// accumulating parameter gradients internally.
 ///
 /// Layers are `Send + Sync` so whole models can move between (and be
-/// served from) worker threads — e.g. the `cq-serve` front-end parks each
-/// registered `PreparedCimModel` behind a lock that any worker may drain
-/// batches into, and the pipelined frozen engine runs
-/// [`Layer::forward_shared`] from several pool tasks at once. Every layer
+/// served from) worker threads — e.g. the `cq-serve` front-end shares
+/// each registered `PreparedCimModel` between its workers through an
+/// `Arc`, and the frozen engine runs [`Layer::forward_shared`] from
+/// several workers and pipeline waves at once. Every layer
 /// in this workspace is plain owned data (frozen CIM convolutions guard
 /// their scratch pool with a mutex), so the bounds cost nothing.
 pub trait Layer: std::any::Any + Send + Sync {

@@ -21,10 +21,10 @@
 //!              ┌────────────────────────────┴─┐
 //!              ▼                              ▼
 //!        worker thread  …               worker thread    (owned threads)
-//!              │ one locked sweep per worker  │
+//!              │ one sweep per worker, no lock│
 //!              ▼                              ▼
 //!  ┌──────────────────────────────────────────────────┐
-//!  │ ModelRegistry: id → Mutex<PreparedCimModel>      │
+//!  │ ModelRegistry: id → Arc<PreparedCimModel>        │
 //!  │ (frozen weights; a sweep's pipeline waves and    │
 //!  │  kernel work items run on the cq_tensor::exec    │
 //!  │  pool, capped at CQ_THREADS)                     │
@@ -57,8 +57,9 @@
 //! drains every admitted request, joins the workers, and returns the
 //! final [`ServeStats`] with the resident models.
 //!
-//! **Parallelism.** Serve workers parallelise *across* sweeps (different
-//! models, or queued work for one model while another sweep runs). Inside
+//! **Parallelism.** Serve workers parallelise *across* sweeps, into one
+//! model or different ones: a frozen model serves through `&self`, so no
+//! worker waits on another's sweep. Inside
 //! a sweep there is exactly one mechanism: the frozen engine splits the
 //! rows into cross-layer pipeline waves
 //! ([`PreparedCimModel::set_pipeline_depth`]) and every conv schedules its

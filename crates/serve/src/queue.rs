@@ -418,7 +418,8 @@ pub struct BackendStats {
     /// Images (batch rows) swept through such models.
     pub images: u64,
     /// Active frozen convolutions resolved onto this backend across the
-    /// resident model set (a session-start snapshot, not a counter).
+    /// live resident models when the stats were taken (a gauge that
+    /// follows register and evict, not a counter).
     pub active_layers: usize,
 }
 
@@ -842,15 +843,6 @@ impl RequestQueue {
     /// Counts one model evicted from the live session.
     pub(crate) fn note_evicted(&self) {
         self.state.lock().unwrap().evictions += 1;
-    }
-
-    /// Installs the session-start snapshot of active frozen-layer counts
-    /// per backend (see [`BackendStats::active_layers`]).
-    pub(crate) fn set_backend_layers(&self, layers: [usize; 3]) {
-        let mut st = self.state.lock().unwrap();
-        for (bs, n) in st.backend_stats.iter_mut().zip(layers) {
-            bs.active_layers = n;
-        }
     }
 
     /// Marks the queue closed: workers drain what is left and exit, and

@@ -1,13 +1,14 @@
 //! Multi-model residency: a registry mapping model ids to independently
 //! frozen [`PreparedCimModel`]s — **mutable on a live session**.
 //!
-//! Each resident model sits in a slot behind its own mutex and carries
-//! its own frozen weights. Coalesced sweeps take the lock, so sweeps into
-//! one model serialize while workers serve different models concurrently;
-//! inside a sweep the model's kernels and pipeline waves fan out on the
-//! shared `cq_tensor::exec` pool. Outputs are bit-identical to calling the
-//! standalone `PreparedCimModel` directly — residency changes scheduling
-//! only.
+//! Each resident model sits in a slot as an `Arc<PreparedCimModel>` with
+//! its own frozen weights. A frozen model serves through `&self`, so a
+//! worker clones the `Arc` out of the slot and sweeps without holding any
+//! lock: workers serve one model or different models concurrently, and a
+//! sweep that panics poisons nothing. Inside a sweep the model's kernels
+//! and pipeline waves fan out on the shared `cq_tensor::exec` pool.
+//! Outputs are bit-identical to calling the standalone `PreparedCimModel`
+//! directly — residency changes scheduling only.
 //!
 //! **Hot-swap.** The slot list itself sits behind a `RwLock`, so
 //! [`ServeSession::register`](crate::ServeSession::register) and
@@ -16,14 +17,16 @@
 //! atomically hidden from name lookup (new submissions get
 //! [`SubmitError::UnknownModel`](crate::SubmitError)), in-flight requests
 //! against it complete normally, and the returned [`EvictTicket`]
-//! resolves with the reclaimed model once the last one drains. Slots are
+//! resolves with the reclaimed model once the last one drains. Workers
+//! drop their `Arc` clone before releasing a request, so the drained
+//! model unwraps back into an owned one. Slots are
 //! never removed mid-session — a [`ModelId`] is a stable slot index — and
 //! a name can be re-registered after eviction (lookup resolves to the
 //! newest live slot).
 
+use crate::config::ServeConfig;
 use crate::queue::SubmitError;
-use cq_core::{BackendError, BackendKind, BackendSet, PreparedCimModel};
-use cq_tensor::Tensor;
+use cq_core::{BackendError, BackendKind, PreparedCimModel};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -224,41 +227,31 @@ struct SlotLife {
     reclaim: Option<Arc<EvictState>>,
 }
 
-/// Backend attribution snapshot of one slot, refreshed whenever the
-/// model's chain is (re)installed — read by workers without touching the
-/// model lock.
-#[derive(Clone, Copy)]
-pub(crate) struct SlotMeta {
-    pub(crate) kind: BackendKind,
-    pub(crate) layers: [usize; 3],
-}
-
 /// One residency slot: name, quantization-scheme attribution, the model
-/// (absent once reclaimed), liveness, and the backend-attribution
-/// snapshot.
+/// (absent once reclaimed) and liveness.
 struct Slot {
     name: String,
-    /// The model's [`QuantScheme`](cq_core::QuantScheme) name, sniffed at
-    /// registration ([`PreparedCimModel::scheme`]) — immutable per slot,
-    /// so stats scrapes read it without any model lock.
+    /// The model's [`QuantScheme`](cq_core::QuantScheme) name
+    /// ([`PreparedCimModel::scheme`]) — immutable per slot, so stats
+    /// scrapes read it without touching the model.
     scheme: String,
-    model: Mutex<Option<PreparedCimModel>>,
+    /// Locked only to clone, read or take the `Arc` — never across a
+    /// sweep.
+    model: Mutex<Option<Arc<PreparedCimModel>>>,
     life: Mutex<SlotLife>,
-    meta: Mutex<SlotMeta>,
 }
 
 impl Slot {
-    fn new(name: String, scheme: String, model: PreparedCimModel, meta: SlotMeta) -> Arc<Self> {
+    fn new(name: String, model: PreparedCimModel) -> Arc<Self> {
         Arc::new(Slot {
             name,
-            scheme,
-            model: Mutex::new(Some(model)),
+            scheme: model.scheme().to_string(),
+            model: Mutex::new(Some(Arc::new(model))),
             life: Mutex::new(SlotLife {
                 in_flight: 0,
                 evicted: false,
                 reclaim: None,
             }),
-            meta: Mutex::new(meta),
         })
     }
 
@@ -275,17 +268,33 @@ impl Slot {
             .unwrap()
             .take()
             .expect("evicted slot delivered twice");
+        let model = Arc::try_unwrap(model)
+            .ok()
+            .expect("drained model still held by a worker");
         *reclaim.model.lock().unwrap() = Some(model);
         reclaim.ready.notify_all();
     }
+
+    /// Reads the live model through `f` (`None` once reclaimed).
+    fn read<T>(&self, f: impl FnOnce(&PreparedCimModel) -> T) -> Option<T> {
+        self.model.lock().unwrap().as_deref().map(f)
+    }
 }
 
-/// Computes the attribution snapshot of a model (see [`SlotMeta`]).
-fn meta_of(model: &mut PreparedCimModel) -> SlotMeta {
-    SlotMeta {
-        kind: model.primary_backend().unwrap_or(BackendKind::SimdF32),
-        layers: model.backend_layer_counts(),
-    }
+/// Installs `cfg`'s freeze-time policy on `model`: its sweep cap
+/// (`cfg.max_batch`) and its execution-backend chain (`cfg.backends`).
+/// The one place a session's policy reaches a model, before the model is
+/// shared with workers.
+///
+/// # Errors
+///
+/// The [`BackendError`] of a layer the chain cannot execute.
+pub(crate) fn install_policy(
+    model: &mut PreparedCimModel,
+    cfg: &ServeConfig,
+) -> Result<(), BackendError> {
+    model.set_max_batch(cfg.max_batch);
+    model.set_backends(cfg.backends.clone())
 }
 
 /// The resident model set of a [`CimServer`](crate::CimServer) — and, on
@@ -337,17 +346,8 @@ impl ModelRegistry {
     /// # Panics
     ///
     /// Panics if a live model already holds `name`.
-    pub fn register(&mut self, name: impl Into<String>, mut model: PreparedCimModel) -> ModelId {
-        let scheme = model.scheme();
-        match self.register_live(
-            name,
-            scheme,
-            model,
-            SlotMeta {
-                kind: BackendKind::SimdF32,
-                layers: [0; 3],
-            },
-        ) {
+    pub fn register(&mut self, name: impl Into<String>, model: PreparedCimModel) -> ModelId {
+        match self.register_live(name, model) {
             Ok(id) => id,
             Err(SwapError::DuplicateName { name, .. }) => {
                 panic!("model id '{name}' already registered")
@@ -356,8 +356,7 @@ impl ModelRegistry {
         }
     }
 
-    /// Shared-path registration with a precomputed attribution snapshot —
-    /// the hot-swap seam used by
+    /// Shared-path registration — the hot-swap seam used by
     /// [`ServeSession::register`](crate::ServeSession::register).
     ///
     /// # Errors
@@ -368,9 +367,7 @@ impl ModelRegistry {
     pub(crate) fn register_live(
         &self,
         name: impl Into<String>,
-        scheme: String,
         model: PreparedCimModel,
-        meta: SlotMeta,
     ) -> Result<ModelId, SwapError> {
         let name = name.into();
         let mut slots = self.slots.write().unwrap();
@@ -381,7 +378,7 @@ impl ModelRegistry {
                 model,
             });
         }
-        slots.push(Slot::new(name, scheme, model, meta));
+        slots.push(Slot::new(name, model));
         Ok(ModelId(slots.len() - 1))
     }
 
@@ -565,69 +562,42 @@ impl ModelRegistry {
         self.slots.read().unwrap()[id.0].scheme.clone()
     }
 
-    /// The attribution snapshot of slot `id` (no model lock taken).
-    pub(crate) fn slot_meta(&self, id: ModelId) -> SlotMeta {
-        *self.slot(id).meta.lock().unwrap()
-    }
-
-    /// Locks model `id` and serves `requests` through its coalescing
-    /// [`PreparedCimModel::infer_batch`].
-    pub(crate) fn infer_batch(&self, id: ModelId, requests: &[Tensor]) -> Vec<Tensor> {
+    /// A shared handle to model `id` for one sweep. The caller drops it
+    /// before [`release`](ModelRegistry::release)-ing the sweep's
+    /// requests, so a drained eviction can unwrap the model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model was already reclaimed, which admission rules
+    /// out while requests against it are in flight.
+    pub(crate) fn model(&self, id: ModelId) -> Arc<PreparedCimModel> {
         self.slot(id)
             .model
             .lock()
             .unwrap()
-            .as_mut()
+            .clone()
             .expect("model evicted with requests in flight")
-            .infer_batch(requests)
     }
 
-    /// Runs `f` over every live model (locked one at a time, list lock not
-    /// held), collecting the first error.
-    fn for_each_live<E>(
-        &self,
-        mut f: impl FnMut(&Slot, &mut PreparedCimModel) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let mut first_err = None;
-        for slot in self.slots() {
-            let mut guard = slot.model.lock().unwrap();
-            if let Some(model) = guard.as_mut() {
-                if let Err(e) = f(&slot, model) {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Caps every live model's sweep size (see
-    /// [`PreparedCimModel::set_max_batch`]).
-    pub fn set_max_batch(&mut self, max_batch: Option<usize>) {
-        let _ = self.for_each_live(|_, m| {
-            m.set_max_batch(max_batch);
-            Ok::<(), ()>(())
-        });
-    }
-
-    /// Installs the execution-backend fallback chain on every live
-    /// model's frozen convolutions (see
-    /// [`PreparedCimModel::set_backends`] — bit-identical outputs
-    /// across backends) and refreshes each slot's attribution snapshot.
+    /// Installs `cfg`'s policy on every resident model before a session
+    /// starts (see [`install_policy`]).
     ///
     /// # Errors
     ///
     /// The first [`BackendError`] hit; every model is still attempted, so
     /// on error some models may carry the new chain and others their old
     /// one — re-install a satisfiable chain to restore uniformity.
-    pub fn set_backends(&mut self, backends: &BackendSet) -> Result<(), BackendError> {
-        self.for_each_live(|slot, m| {
-            let result = m.set_backends(backends.clone());
-            *slot.meta.lock().unwrap() = meta_of(m);
-            result
-        })
+    pub(crate) fn install(&mut self, cfg: &ServeConfig) -> Result<(), BackendError> {
+        let mut first_err = None;
+        for slot in self.slots() {
+            if let Some(model) = slot.model.lock().unwrap().as_mut() {
+                let model = Arc::get_mut(model).expect("model shared before its session started");
+                if let Err(e) = install_policy(model, cfg) {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// The primary (most-common active) backend of each **live** resident
@@ -641,7 +611,7 @@ impl ModelRegistry {
         self.slots()
             .iter()
             .filter(|s| s.is_live())
-            .map(|s| s.meta.lock().unwrap().kind)
+            .filter_map(|s| s.read(|m| m.primary_backend().unwrap_or(BackendKind::SimdF32)))
             .collect()
     }
 
@@ -656,7 +626,7 @@ impl ModelRegistry {
             if !slot.is_live() {
                 continue;
             }
-            let layers = slot.meta.lock().unwrap().layers;
+            let layers = slot.read(|m| m.backend_layer_counts()).unwrap_or([0; 3]);
             for (t, c) in totals.iter_mut().zip(layers) {
                 *t += c;
             }
@@ -676,7 +646,11 @@ impl ModelRegistry {
                     .ok()
                     .expect("registry dissolved while a worker holds a slot");
                 let name = slot.name;
-                slot.model.into_inner().unwrap().map(|m| (name, m))
+                let model = slot.model.into_inner().unwrap()?;
+                let model = Arc::try_unwrap(model)
+                    .ok()
+                    .expect("registry dissolved while a worker holds a model");
+                Some((name, model))
             })
             .collect()
     }
@@ -687,11 +661,15 @@ mod tests {
     use super::*;
 
     fn tiny_model() -> PreparedCimModel {
+        tiny_model_with(&cq_core::QuantScheme::ours())
+    }
+
+    fn tiny_model_with(scheme: &cq_core::QuantScheme) -> PreparedCimModel {
         use cq_nn::{Layer, Mode};
         let mut net = cq_core::build_cim_resnet(
             cq_nn::ResNetSpec::resnet8(2, 2),
             &cq_cim::CimConfig::tiny(),
-            &cq_core::QuantScheme::ours(),
+            scheme,
             7,
         );
         let warm = cq_tensor::CqRng::new(1).normal_tensor(&[1, 3, 8, 8], 1.0);
@@ -750,17 +728,7 @@ mod tests {
         let mut registry = ModelRegistry::new();
         let v1 = registry.register("m", tiny_model());
         let t = registry.evict("m").unwrap();
-        let v2 = registry
-            .register_live(
-                "m",
-                "paper-lsq-column".to_string(),
-                t.wait(),
-                SlotMeta {
-                    kind: BackendKind::SimdF32,
-                    layers: [0; 3],
-                },
-            )
-            .unwrap();
+        let v2 = registry.register_live("m", t.wait()).unwrap();
         assert_ne!(v1, v2, "fresh slot");
         assert_eq!(registry.id("m"), Some(v2), "lookup finds the newest live");
         assert!(matches!(
@@ -776,11 +744,9 @@ mod tests {
     fn swap_errors_hand_the_model_back() {
         let mut registry = ModelRegistry::new();
         registry.register("m", tiny_model());
-        let meta = SlotMeta {
-            kind: BackendKind::SimdF32,
-            layers: [0; 3],
-        };
-        match registry.register_live("m", "bwma".to_string(), tiny_model(), meta) {
+        let bwma = tiny_model_with(&cq_core::QuantScheme::bwma());
+        assert_eq!(bwma.scheme(), "bwma");
+        match registry.register_live("m", bwma) {
             Err(SwapError::DuplicateName {
                 name,
                 existing_scheme,

@@ -37,9 +37,8 @@ impl CimServer {
     pub fn new(mut registry: ModelRegistry, cfg: ServeConfig) -> Self {
         assert!(!registry.is_empty(), "registry has no models");
         cfg.validate().expect("invalid serve config");
-        registry.set_max_batch(cfg.max_batch);
         registry
-            .set_backends(&cfg.backends)
+            .install(&cfg)
             .expect("configured backend chain cannot execute a resident model");
         Self { registry, cfg }
     }
@@ -72,8 +71,7 @@ impl CimServer {
     /// re-install a satisfiable one to restore uniformity).
     pub fn set_config(&mut self, cfg: ServeConfig) -> Result<(), ConfigError> {
         cfg.validate()?;
-        self.registry.set_max_batch(cfg.max_batch);
-        self.registry.set_backends(&cfg.backends)?;
+        self.registry.install(&cfg)?;
         self.cfg = cfg;
         Ok(())
     }

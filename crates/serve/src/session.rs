@@ -32,7 +32,7 @@ use crate::queue::BatchScheduler;
 use crate::queue::{
     QueuedRequest, RequestQueue, ResponseSlot, ServeStats, SubmitError, Ticket, WorkPoll,
 };
-use crate::registry::{EvictTicket, ModelId, ModelRegistry, SlotMeta, SwapError};
+use crate::registry::{install_policy, EvictTicket, ModelId, ModelRegistry, SwapError};
 use crate::request::{Request, Target};
 use cq_core::{BackendKind, PreparedCimModel};
 use std::sync::{Arc, Mutex};
@@ -121,9 +121,6 @@ impl ServeSession {
             }),
             cfg,
         });
-        shared
-            .queue
-            .set_backend_layers(shared.registry.backend_layer_counts());
         {
             let mut pool = shared.pool.lock().unwrap();
             for _ in 0..shared.cfg.min_workers {
@@ -216,24 +213,16 @@ impl ServeSession {
         mut model: PreparedCimModel,
     ) -> Result<ModelId, SwapError> {
         let shared = &self.inner().shared;
-        let scheme = model.scheme();
-        if !shared.cfg.scheme_allowlist.is_empty() && !shared.cfg.scheme_allowlist.contains(&scheme)
-        {
+        let allowlist = &shared.cfg.scheme_allowlist;
+        if !allowlist.is_empty() && !allowlist.iter().any(|s| s == model.scheme()) {
+            let scheme = model.scheme().to_string();
             return Err(SwapError::SchemeNotAllowed { scheme, model });
         }
-        model.set_max_batch(shared.cfg.max_batch);
-        if let Err(error) = model.set_backends(shared.cfg.backends.clone()) {
+        if let Err(error) = install_policy(&mut model, &shared.cfg) {
             return Err(SwapError::Backend { error, model });
         }
-        let meta = SlotMeta {
-            kind: model.primary_backend().unwrap_or(BackendKind::SimdF32),
-            layers: model.backend_layer_counts(),
-        };
-        let id = shared.registry.register_live(name, scheme, model, meta)?;
+        let id = shared.registry.register_live(name, model)?;
         shared.queue.note_hot_register();
-        shared
-            .queue
-            .set_backend_layers(shared.registry.backend_layer_counts());
         Ok(id)
     }
 
@@ -253,9 +242,6 @@ impl ServeSession {
         let shared = &self.inner().shared;
         let ticket = shared.registry.evict(name)?;
         shared.queue.note_evicted();
-        shared
-            .queue
-            .set_backend_layers(shared.registry.backend_layer_counts());
         Ok(ticket)
     }
 
@@ -429,8 +415,8 @@ fn close_and_join(shared: &SessionShared) -> ServeStats {
 }
 
 /// Overlays what only the session knows onto a queue counter snapshot:
-/// model names / scheme attribution / eviction flags (registry) and the
-/// worker-pool gauges.
+/// model names / scheme attribution / eviction flags and active layers
+/// per backend (registry) and the worker-pool gauges.
 fn finalize_stats(shared: &SessionShared, stats: &mut ServeStats) {
     let names = shared.registry.slot_names();
     while stats.models.len() < names.len() {
@@ -440,6 +426,10 @@ fn finalize_stats(shared: &SessionShared, stats: &mut ServeStats) {
         m.name = name;
         m.scheme = scheme;
         m.evicted = evicted;
+    }
+    let layers = shared.registry.backend_layer_counts();
+    for (bs, n) in stats.backends.iter_mut().zip(layers) {
+        bs.active_layers = n;
     }
     let pool = shared.pool.lock().unwrap();
     stats.workers = WorkerStats {
@@ -505,8 +495,12 @@ fn serve_sweep(shared: &SessionShared, batch: Vec<QueuedRequest>) {
     }
     let guard = AbandonOnDrop(slots);
     let rows: usize = inputs.iter().map(|t| t.dim(0)).sum();
-    let outputs = shared.registry.infer_batch(model, &inputs);
-    let kind = shared.registry.slot_meta(model).kind;
+    // No lock is held across the sweep; the clone is dropped before the
+    // releases below so a drained eviction can unwrap the model.
+    let pm = shared.registry.model(model);
+    let outputs = pm.infer_batch(&inputs);
+    let kind = pm.primary_backend().unwrap_or(BackendKind::SimdF32);
+    drop(pm);
     shared.queue.note_backend_sweep(kind, rows as u64);
     debug_assert_eq!(outputs.len(), guard.0.len());
     for ((slot, output), (slo, deadline, submitted_at, tenant)) in

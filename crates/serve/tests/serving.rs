@@ -519,6 +519,32 @@ fn model_rejecting_an_input_panics_instead_of_hanging() {
     let _ = t.wait(); // panics: the worker abandoned the ticket
 }
 
+/// One bad request must not break the model for everyone else: its sweep
+/// panics on one worker of a two-worker session, the next valid request
+/// is served by the other worker bit-identical to a direct `infer`, and
+/// `shutdown` still re-raises the worker panic.
+#[test]
+fn panicking_sweep_leaves_the_model_servable_by_other_workers() {
+    let mut registry = ModelRegistry::new();
+    registry.register("m", prepared(52));
+    let session =
+        CimServer::new(registry, ServeConfig::builder().workers(2).build().unwrap()).start();
+    let bad = Tensor::zeros(&[1, 5, 12, 12]);
+    let t = session.submit(Request::to("m").batch(bad)).unwrap();
+    let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.wait()));
+    assert!(waited.is_err(), "the rejected request's ticket must panic");
+
+    let x = request(&mut CqRng::new(53), 1);
+    let got = session
+        .submit(Request::to("m").batch(x.clone()))
+        .unwrap()
+        .wait()
+        .output;
+    assert_eq!(got, prepared(52).infer(&x), "served output diverged");
+    let shut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.shutdown()));
+    assert!(shut.is_err(), "shutdown must re-raise the worker panic");
+}
+
 /// Unknown models and batch-less requests fail recoverably at
 /// submission — no panic, the session stays usable.
 #[test]
@@ -606,7 +632,7 @@ fn oversized_requests_across_workers_are_bit_exact_vs_direct() {
     assert_eq!(stats.max_sweep_rows, 9, "an oversized request sweeps alone");
 }
 
-/// A one-worker session serves an oversized request in one locked sweep
+/// A one-worker session serves an oversized request in one sweep
 /// (chunked inside the model) without deadlocking.
 #[test]
 fn single_worker_serves_oversized_request_bit_exactly() {

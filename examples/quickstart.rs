@@ -83,7 +83,7 @@ fn main() {
         .normal_tensor(&[1, 3, 12, 12], 1.0)
         .map(|v| v.max(0.0));
     let want = net.forward(&probe, Mode::Eval);
-    let mut served = PreparedCimModel::new(Box::new(net));
+    let served = PreparedCimModel::new(Box::new(net));
     assert_eq!(
         served.infer(&probe),
         want,
