@@ -34,8 +34,9 @@ use cq_tensor::{
 use std::ops::Range;
 
 /// One bit-split's grouped weights repacked for the integer kernel: one
-/// [`PackedPanels`] per row-tile group, each packing that group's
-/// `[OC, c_pa·K·K]` slice. Built once at freeze time by
+/// [`PackedPanels`] per row-tile group, holding the nonzero positions of
+/// that group's `[OC, c_pa·K·K]` slice grouped by weight value per output
+/// channel. Built once at freeze time by
 /// [`PsumPipeline::split_grouped_weights_int`].
 #[derive(Debug, Clone)]
 pub struct IntGroupedWeights {
@@ -43,7 +44,7 @@ pub struct IntGroupedWeights {
 }
 
 impl IntGroupedWeights {
-    /// The per-row-tile packed panel sets.
+    /// The per-row-tile packed weights.
     pub fn panels(&self) -> &[PackedPanels] {
         &self.panels
     }
@@ -370,11 +371,12 @@ impl PsumPipeline {
 
     /// The integer sibling of [`PsumPipeline::split_grouped_weights`]:
     /// repacks already-grouped (and possibly variation-transformed) weight
-    /// slices into per-row-tile integer panels for
+    /// slices into per-row-tile value-grouped [`PackedPanels`] for
     /// [`PsumPipeline::grouped_psums_int_into`].
     ///
     /// Returns `None` — the cue to stay on the f32 kernels — when any
     /// slice value is not an exact integer in i8 range (device variation),
+    /// when a row tile spans more than 2¹⁶ crossbar rows (`c_pa·K·K`),
     /// when activations do not fit i8 (`act_max_abs > 127`), or when the
     /// worst-case column sum `max|w| · act_max_abs · c_pa·K·K` could leave
     /// the 2²⁴ window in which f32 carries integers exactly. Every
@@ -497,7 +499,7 @@ impl PsumPipeline {
     /// the partial sums of row tiles `tiles` from activations `a`
     /// (`[B, len·c_pa, H, W]` — the full padded tensor when `tiles` spans
     /// the plan, or that range's channel block of it) with the `i8×i8→i32`
-    /// panel kernels, writing exact `i32→f32` conversions into `psums`.
+    /// kernels, writing exact `i32→f32` conversions into `psums`.
     ///
     /// The im2col patch matrix is built **once per (image, row tile)** in
     /// i8, widened once, and reused across every bit-split's GEMM — the
@@ -507,7 +509,7 @@ impl PsumPipeline {
     /// to the f32 path (psums are exact integers inside f32's mantissa;
     /// the `engine_equivalence` tests pin the whole matrix).
     ///
-    /// The integer chain (i8 im2col → widen → panel GEMM → i32→f32
+    /// The integer chain (i8 im2col → widen → add-only GEMM → i32→f32
     /// epilogue) is routed through `backend`'s trait methods, so an
     /// integer-capable backend owns every arithmetic step of its sweep.
     ///

@@ -46,8 +46,8 @@ pub struct PreparedConv {
     /// One grouped `[G·OC, c_pa, K, K]` weight tensor per bit-split,
     /// computed at construction.
     grouped_weights: Vec<Tensor>,
-    /// The same slices repacked into integer panels at construction, when
-    /// they are integer-eligible (see
+    /// The same slices repacked into [`cq_tensor::PackedPanels`] at
+    /// construction, when they are integer-eligible (see
     /// [`PsumPipeline::split_grouped_weights_int`]); `None` under device
     /// variation or out-of-range formats.
     int_weights: Option<Vec<IntGroupedWeights>>,

@@ -647,7 +647,7 @@ impl CimConv2d {
             Self::apply_variation_to_slice(var, weight_factors.as_ref(), s, slice)
         });
         // Kernel hint: a single-split ±1 layer (binary weights) always
-        // packs into the integer panels when no variation perturbs the
+        // packs for the integer kernels when no variation perturbs the
         // programmed cells off the integer grid.
         if self.bit_split.num_splits() == 1 && var.is_none() {
             debug_assert!(

@@ -2,8 +2,8 @@
 //!
 //! [`ExecBackend`] owns the per-layer compute contract that the CIM
 //! pipeline used to hardcode: the f32 grouped-convolution sweep (im2col +
-//! GEMM) and the integer chain (i8 im2col, i8→i32 widening, panel GEMM,
-//! exact i32→f32 epilogue). Three first-class implementations ship:
+//! GEMM) and the integer chain (i8 im2col, i8→i32 widening, add-only
+//! GEMM over value-grouped weights, exact i32→f32 epilogue). Three first-class implementations ship:
 //!
 //! * [`ScalarRef`] — a plain serial loop-nest **reference oracle** for
 //!   differential testing. No threading inside the GEMM, no zero-skip, no
@@ -11,10 +11,11 @@
 //! * [`SimdF32`] — the production f32 path: blocked, autovectorized,
 //!   row-parallel GEMM kernels on the persistent [`exec`](crate::exec)
 //!   pool.
-//! * [`IntPanels`] — the `i8×i8→i32` panel kernels over freeze-time
-//!   repacked weights ([`PackedPanels`]); applicable only when a layer's
-//!   frozen slices are integer-eligible, which the capability probe
-//!   [`ExecBackend::supports`] reports from a [`ConvProfile`].
+//! * [`IntPanels`] — the `i8×i8→i32` kernels over weights repacked at
+//!   freeze into nonzero indices grouped by value ([`PackedPanels`]);
+//!   applicable only when a layer's frozen slices are integer-eligible,
+//!   which the capability probe [`ExecBackend::supports`] reports from a
+//!   [`ConvProfile`].
 //!
 //! All backends are **bit-identical** where applicable: partial sums are
 //! exact integers well inside f32's 24-bit mantissa, and the only latitude
@@ -44,7 +45,7 @@ pub enum BackendKind {
     Scalar,
     /// Blocked/threaded f32 kernels ([`SimdF32`]).
     SimdF32,
-    /// Integer `i8×i8→i32` panel kernels ([`IntPanels`]).
+    /// Integer `i8×i8→i32` kernels ([`IntPanels`]).
     IntPanels,
 }
 
@@ -79,13 +80,14 @@ impl BackendKind {
 /// [`ExecBackend::supports`].
 ///
 /// `integer_eligible` reports whether the layer's frozen weight slices
-/// actually repacked into integer panels at freeze time (exact i8 values,
-/// activations in i8 range, worst-case column sums inside the 2²⁴ f32
-/// window) — computed from the real pack outcome, so the probe can never
-/// drift from the kernels' own eligibility rules.
+/// actually repacked into [`PackedPanels`] at freeze time (exact i8
+/// values, at most 2¹⁶ columns, activations in i8 range, worst-case
+/// column sums inside the 2²⁴ f32 window) — computed from the real pack
+/// outcome, so the probe can never drift from the kernels' own
+/// eligibility rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConvProfile {
-    /// Frozen slices repacked into integer panels at freeze time.
+    /// Frozen slices repacked into [`PackedPanels`] at freeze time.
     pub integer_eligible: bool,
 }
 
@@ -133,7 +135,7 @@ pub trait ExecBackend: Send + Sync + fmt::Debug {
     fn supports(&self, profile: &ConvProfile) -> bool;
 
     /// Whether sweeps on this backend run the integer chain (over
-    /// freeze-time repacked panels) instead of the f32 grouped conv.
+    /// freeze-time [`PackedPanels`]) instead of the f32 grouped conv.
     fn integer(&self) -> bool {
         false
     }
@@ -167,7 +169,7 @@ pub trait ExecBackend: Send + Sync + fmt::Debug {
         widen_i8_to_i32(src, dst);
     }
 
-    /// `C += A · B` over packed weight panels (step 3).
+    /// `C += A · B` over value-grouped packed weights (step 3).
     fn igemm_into(&self, a: &PackedPanels, b: &[i32], n: usize, c: &mut [i32]) {
         igemm_into(a, b, n, c);
     }
@@ -269,8 +271,9 @@ impl ExecBackend for SimdF32 {
     }
 }
 
-/// The integer panel backend: freeze-time repacked `i8` weight panels
-/// driven through `i8×i8→i32` GEMMs with exact `i32→f32` epilogues.
+/// The integer backend: `i8` weight slices repacked at freeze into
+/// value-grouped nonzero indices ([`PackedPanels`]), driven through
+/// add-only `i8×i8→i32` GEMMs with exact `i32→f32` epilogues.
 /// Applicable only to integer-eligible layers (the capability probe
 /// replaces the scattered `Option<IntGroupedWeights>` checks it grew out
 /// of).

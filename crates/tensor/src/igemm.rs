@@ -1,5 +1,5 @@
 //! Integer GEMM kernels for exact small-integer arithmetic carried in
-//! `i8 × i8 → i32`, plus the freeze-time panel repacking they stream
+//! `i8 × i8 → i32`, plus the freeze-time weight repacking they stream
 //! through.
 //!
 //! The CIM partial-sum front-end multiplies tiny integers — a bit-split
@@ -7,22 +7,21 @@
 //! f32 path pays full-width float multiply-accumulate for it. This module
 //! provides the integer alternative:
 //!
-//! * [`PackedPanels`] — a weight matrix repacked **once** into
-//!   fixed-width row panels of [`PANEL_ROWS`] rows, k-major interleaved
-//!   (the CPU analogue of cuBLASLt's `COL32` ampere layouts): the inner
-//!   kernel streams one contiguous panel while revisiting a register-band
-//!   of output rows, and the layout is chosen at freeze time so serving
-//!   never repacks.
+//! * [`PackedPanels`] — a weight matrix repacked **once** at freeze into
+//!   value-grouped row indices: for each output row, the `kk` positions of
+//!   its nonzero weights bucketed by weight value. A 1-bit cell slice is
+//!   `{0, 1}` (or `{-1, 0}` for the signed top slice), so each row is at
+//!   most one group and the zeros — about half the entries — are gone
+//!   before serving starts.
 //! * [`im2col_i8`] — the i8 twin of the f32 im2col used by
 //!   [`conv2d_grouped`](crate::conv2d_grouped), quartering patch-matrix
 //!   write traffic.
 //! * [`widen_i8_to_i32`] — widens an i8 activation matrix to the i32
 //!   operand the kernel streams (done once per image/group, shared by
 //!   every bit-split's GEMM).
-//! * [`igemm_into`] — the `i8 × i32 → i32` accumulation kernel itself, a
-//!   plain axpy loop written so the autovectorizer emits SIMD
-//!   multiply-add, with strength reduction for the `±1` weights that
-//!   dominate low-bit slices.
+//! * [`igemm_into`] — the `i8 × i32 → i32` accumulation kernel itself: a
+//!   register-blocked, add-only sum of the B rows each value group
+//!   selects, folded into C once per group.
 //! * [`accum_to_f32`] / [`shift_add_into`] — the exact `i32 → f32`
 //!   epilogues: psums are integers well inside f32's 24-bit mantissa, so
 //!   converting (and optionally shift-adding across bit-splits) is
@@ -33,22 +32,32 @@
 
 use crate::conv::ConvShape;
 
-/// Rows per weight panel (the register-blocking height `MR`).
-pub const PANEL_ROWS: usize = 4;
+/// One run of a row's nonzero weights that share a value: `idx[start..end]`
+/// holds their `kk` positions, ascending.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ValueGroup {
+    value: i32,
+    start: u32,
+    end: u32,
+}
 
 /// A row-major `[rows, k]` integer weight matrix repacked into
-/// [`PANEL_ROWS`]-row panels.
+/// value-grouped row indices for [`igemm_into`].
 ///
-/// Panel `p` covers rows `[p·MR, min((p+1)·MR, rows))`; within a panel the
-/// storage is **k-major**: for each `kk` the `MR` lane values
-/// `a[(p·MR + lane), kk]` sit contiguously (tail lanes of a short final
-/// panel are zero-padded). [`igemm_into`] streams this layout linearly.
+/// For each output row, the `kk` positions of its nonzero weights are
+/// bucketed by weight value, ascending within a bucket. Row `r`'s
+/// `(value, start, end)` groups are `groups[row_groups[r]..row_groups[r +
+/// 1]]`, in ascending value order, and each points into the one flat
+/// `u16` index vector `idx`, so `k` is capped at 2¹⁶. Zero weights are
+/// not stored at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedPanels {
     rows: usize,
     k: usize,
     max_abs: i32,
-    data: Vec<i8>,
+    row_groups: Vec<u32>,
+    groups: Vec<ValueGroup>,
+    idx: Vec<u16>,
 }
 
 impl PackedPanels {
@@ -56,31 +65,82 @@ impl PackedPanels {
     ///
     /// Returns `None` if any value is not an exact integer in
     /// `[-128, 127]` — the caller's cue to stay on the f32 path (e.g.
-    /// when device variation has perturbed weight slices off-integer).
+    /// when device variation has perturbed weight slices off-integer) —
+    /// or if `k > 65536`, beyond what the `u16` indices address (or the
+    /// matrix has more entries than `u32` group bounds address).
+    ///
+    /// Each row is bucketed by a counting pass, `O(k + 256)` per row with
+    /// no per-row allocation.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != rows * k`.
     pub fn pack(rows: usize, k: usize, a: &[f32]) -> Option<Self> {
         assert_eq!(a.len(), rows * k, "panel source length");
-        let num_panels = rows.div_ceil(PANEL_ROWS).max(1);
-        let mut data = vec![0i8; num_panels * k * PANEL_ROWS];
+        if k > 1 << 16 || a.len() > u32::MAX as usize {
+            return None;
+        }
         let mut max_abs = 0i32;
-        for (i, &v) in a.iter().enumerate() {
-            if v != v.round() || !(-128.0..=127.0).contains(&v) {
+        let mut row_groups = Vec::with_capacity(rows + 1);
+        row_groups.push(0u32);
+        let (mut groups, mut idx) = (Vec::new(), Vec::new());
+        // The current row as i8, and per value `v` (bucket `v + 128`, so
+        // buckets ascend with the value) its count in the row, then the
+        // next index position it writes. Only the buckets between the
+        // row's smallest and largest value (and zero) are touched.
+        let mut q = vec![0i8; k];
+        let mut slot = [0u32; 256];
+        for row in (0..rows).map(|r| &a[r * k..(r + 1) * k]) {
+            let (mut exact, mut lo, mut hi) = (true, 0i8, 0i8);
+            for (d, &v) in q.iter_mut().zip(row) {
+                let t = v as i32;
+                exact &= (-128..=127).contains(&t) & (t as f32 == v);
+                *d = t as i8;
+                max_abs = max_abs.max((*d as i32).abs());
+                (lo, hi) = (lo.min(*d), hi.max(*d));
+            }
+            if !exact {
                 return None;
             }
-            let q = v as i32;
-            max_abs = max_abs.max(q.abs());
-            let (row, kk) = (i / k, i % k);
-            let (p, lane) = (row / PANEL_ROWS, row % PANEL_ROWS);
-            data[(p * k + kk) * PANEL_ROWS + lane] = q as i8;
+            let live = bucket(lo)..=bucket(hi);
+            slot[live.clone()].fill(0);
+            for &v in &q {
+                slot[bucket(v)] += 1;
+            }
+            let mut end = idx.len() as u32;
+            for b in live.filter(|&b| b != bucket(0)) {
+                let count = slot[b];
+                if count > 0 {
+                    groups.push(ValueGroup {
+                        value: b as i32 - 128,
+                        start: end,
+                        end: end + count,
+                    });
+                    slot[b] = end;
+                    end += count;
+                }
+            }
+            // Zeros all write one scratch slot past the row's indices and
+            // never advance, so the scatter needs no branch.
+            slot[bucket(0)] = end;
+            idx.resize(end as usize + 1, 0);
+            for (kk, &v) in q.iter().enumerate() {
+                let s = &mut slot[bucket(v)];
+                idx[*s as usize] = kk as u16;
+                *s += (v != 0) as u32;
+            }
+            idx.truncate(end as usize);
+            row_groups.push(groups.len() as u32);
         }
+        groups.shrink_to_fit();
+        idx.shrink_to_fit();
         Some(Self {
             rows,
             k,
             max_abs,
-            data,
+            row_groups,
+            groups,
+            idx,
         })
     }
 
@@ -98,6 +158,19 @@ impl PackedPanels {
     pub fn max_abs(&self) -> i32 {
         self.max_abs
     }
+
+    /// Row `r`'s value groups as `(value, kk indices)`.
+    fn row(&self, r: usize) -> impl Iterator<Item = (i32, &[u16])> {
+        let gs = &self.groups[self.row_groups[r] as usize..self.row_groups[r + 1] as usize];
+        gs.iter()
+            .map(|g| (g.value, &self.idx[g.start as usize..g.end as usize]))
+    }
+}
+
+/// Counting-pass bucket of an i8 weight: buckets ascend with the value.
+#[inline(always)]
+fn bucket(v: i8) -> usize {
+    (v as u8 ^ 0x80) as usize
 }
 
 /// Writes the i8 im2col matrix for channels `[c_start, c_start + c_len)`
@@ -195,14 +268,16 @@ pub fn widen_i8_to_i32(src: &[i8], dst: &mut [i32]) {
 /// `C[rows,n] += A · B` where `A` is a [`PackedPanels`] weight matrix and
 /// `b` is the row-major `[k, n]` widened activation matrix.
 ///
-/// Per panel the kernel walks the k-major lane quads and performs one
-/// axpy over the contiguous output row per non-zero weight — long
-/// unit-stride loops the autovectorizer turns into SIMD adds. The `±1`
-/// weights (the bulk of low-bit slices) are strength-reduced to pure
-/// add/sub axpys, which matters because packed i32 multiply is the one
-/// SIMD op the x86-64 baseline lacks; wider magnitudes keep the scalar
-/// multiply arm rather than more match arms, which benchmarked worse
-/// (a 7-way dispatch mispredicts more than it saves).
+/// The kernel walks the output columns in blocks of 32, then 8, then 1,
+/// copying each block's B columns into one contiguous `[k, W]` panel.
+/// Within a block, for each row and each of its value groups, it sums
+/// the panel rows the group's indices select into a local `[i32; W]`
+/// accumulator — a loop of loads and adds only, with no multiply, no
+/// per-weight branch and no C traffic, which matters because packed i32
+/// multiply is the one SIMD op the x86-64 baseline lacks. The
+/// accumulator is folded into C once per group: added for `+1`,
+/// subtracted for `-1`, multiplied once for any other value. Zero
+/// weights were dropped at pack time and cost nothing.
 ///
 /// The caller guarantees accumulators stay within i32 (see
 /// [`PackedPanels::max_abs`]); all CIM psum configurations are orders of
@@ -210,42 +285,72 @@ pub fn widen_i8_to_i32(src: &[i8], dst: &mut [i32]) {
 ///
 /// # Panics
 ///
-/// Panics if `b` or `c` lengths disagree with the panel geometry.
+/// Panics if `b` or `c` lengths disagree with the packed geometry.
 pub fn igemm_into(a: &PackedPanels, b: &[i32], n: usize, c: &mut [i32]) {
-    let (rows, k) = (a.rows, a.k);
-    assert_eq!(b.len(), k * n, "B buffer length");
-    assert_eq!(c.len(), rows * n, "C buffer length");
-    for (p, panel) in a.data.chunks_exact(k * PANEL_ROWS).enumerate() {
-        let r0 = p * PANEL_ROWS;
-        let band = (rows - r0).min(PANEL_ROWS);
-        for (kk, lanes) in panel.chunks_exact(PANEL_ROWS).enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (lane, &wq) in lanes.iter().take(band).enumerate() {
-                let w = wq as i32;
-                if w == 0 {
-                    continue;
-                }
-                let crow = &mut c[(r0 + lane) * n..(r0 + lane + 1) * n];
-                match w {
-                    1 => {
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += bv;
-                        }
-                    }
-                    -1 => {
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv -= bv;
-                        }
-                    }
-                    _ => {
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += w * bv;
-                        }
-                    }
-                }
+    assert_eq!(b.len(), a.k * n, "B buffer length");
+    assert_eq!(c.len(), a.rows * n, "C buffer length");
+    // A plain allocation, not arena scratch: one more arena checkout per
+    // call makes the arena's high-water trim drop and re-allocate buffers
+    // far more often, which raised peak memory.
+    let mut panel = vec![0i32; a.k * n.min(32)];
+    let mut j = 0;
+    while j + 32 <= n {
+        igemm_block::<32>(a, b, n, j, &mut panel, c);
+        j += 32;
+    }
+    while j + 8 <= n {
+        igemm_block::<8>(a, b, n, j, &mut panel, c);
+        j += 8;
+    }
+    while j < n {
+        igemm_block::<1>(a, b, n, j, &mut panel, c);
+        j += 1;
+    }
+}
+
+/// Output columns `[j, j + W)` of [`igemm_into`] for every row.
+///
+/// The block's B columns are copied into `panel` first. Read in place,
+/// each B row segment sits `n` elements after the previous one, and for
+/// the usual power-of-two conv outputs that stride maps all of them onto
+/// the same few L1 cache sets.
+fn igemm_block<const W: usize>(
+    a: &PackedPanels,
+    b: &[i32],
+    n: usize,
+    j: usize,
+    panel: &mut [i32],
+    c: &mut [i32],
+) {
+    let panel = &mut panel[..a.k * W];
+    for (dst, brow) in panel.chunks_exact_mut(W).zip(b.chunks_exact(n)) {
+        dst.copy_from_slice(&brow[j..j + W]);
+    }
+    for r in 0..a.rows {
+        let crow: &mut [i32; W] = (&mut c[r * n + j..r * n + j + W]).try_into().unwrap();
+        for (value, kks) in a.row(r) {
+            let acc = sum_rows::<W>(panel, kks);
+            match value {
+                1 => crow.iter_mut().zip(&acc).for_each(|(cv, &s)| *cv += s),
+                -1 => crow.iter_mut().zip(&acc).for_each(|(cv, &s)| *cv -= s),
+                v => crow.iter_mut().zip(&acc).for_each(|(cv, &s)| *cv += v * s),
             }
         }
     }
+}
+
+/// `Σ panel[kk]` over the selected `[W]` rows of a B panel: loads and
+/// adds only, the accumulator held in registers.
+#[inline(always)]
+fn sum_rows<const W: usize>(panel: &[i32], kks: &[u16]) -> [i32; W] {
+    let mut acc = [0i32; W];
+    for &kk in kks {
+        let seg: &[i32; W] = panel[kk as usize * W..][..W].try_into().unwrap();
+        for (s, &bv) in acc.iter_mut().zip(seg) {
+            *s += bv;
+        }
+    }
+    acc
 }
 
 /// Exact `i32 → f32` epilogue: overwrites `out` with the accumulator
@@ -296,27 +401,87 @@ mod tests {
             .collect()
     }
 
+    /// Every `(row, kk, v)` of the packed groups, checking the layout
+    /// invariants on the way: nonzero values, ascending buckets, and
+    /// ascending `kk` within a bucket.
+    fn unpack(p: &PackedPanels) -> Vec<(usize, usize, i32)> {
+        let mut out = Vec::new();
+        for r in 0..p.rows() {
+            let mut prev_value = i32::MIN;
+            for (value, kks) in p.row(r) {
+                assert_ne!(value, 0, "row {r}: zeros must not be stored");
+                assert!(value > prev_value, "row {r}: buckets out of order");
+                assert!(!kks.is_empty(), "row {r}: empty group");
+                assert!(kks.windows(2).all(|w| w[0] < w[1]), "row {r}: kk order");
+                prev_value = value;
+                out.extend(kks.iter().map(|&kk| (r, kk as usize, value)));
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    fn nonzeros(rows: usize, k: usize, a: &[f32]) -> Vec<(usize, usize, i32)> {
+        (0..rows * k)
+            .filter(|&i| a[i] != 0.0)
+            .map(|i| (i / k, i % k, a[i] as i32))
+            .collect()
+    }
+
     #[test]
     fn pack_roundtrips_layout() {
-        // 5 rows × 3 cols: two panels, second one zero-padded.
-        let a: Vec<f32> = (0..15).map(|i| (i as f32) - 7.0).collect();
-        let p = PackedPanels::pack(5, 3, &a).unwrap();
-        assert_eq!(p.rows(), 5);
-        assert_eq!(p.k(), 3);
-        assert_eq!(p.max_abs(), 7);
-        for row in 0..5 {
-            for kk in 0..3 {
-                let (pi, lane) = (row / PANEL_ROWS, row % PANEL_ROWS);
-                let got = p.data[(pi * 3 + kk) * PANEL_ROWS + lane] as f32;
-                assert_eq!(got, a[row * 3 + kk], "row {row} kk {kk}");
-            }
+        for &(rows, k, lo, hi) in &[
+            (5usize, 3usize, -7, 7),
+            (9, 40, 0, 1),
+            (4, 33, -1, 0),
+            (3, 17, -1, 1),
+            (6, 300, -128, 127),
+        ] {
+            let a = int_filled(rows * k, 7, lo, hi);
+            let p = PackedPanels::pack(rows, k, &a).unwrap();
+            assert_eq!((p.rows(), p.k()), (rows, k));
+            assert_eq!(
+                unpack(&p),
+                nonzeros(rows, k, &a),
+                "{rows}×{k} in [{lo}, {hi}]"
+            );
+            let want_max = a.iter().map(|&v| (v as i32).abs()).max().unwrap();
+            assert_eq!(p.max_abs(), want_max);
         }
-        // Padding lanes of the tail panel stay zero.
-        for kk in 0..3 {
-            for lane in 1..PANEL_ROWS {
-                assert_eq!(p.data[(3 + kk) * PANEL_ROWS + lane], 0);
-            }
-        }
+        // The i8 extremes set `max_abs`, and each lands in its own bucket.
+        let p = PackedPanels::pack(1, 3, &[127.0, 0.0, -128.0]).unwrap();
+        assert_eq!(p.max_abs(), 128);
+        assert_eq!(unpack(&p), vec![(0, 0, 127), (0, 2, -128)]);
+        let p = PackedPanels::pack(2, 2, &[127.0, 1.0, 0.0, -3.0]).unwrap();
+        assert_eq!(p.max_abs(), 127);
+        // The largest addressable `k` stores its last index; one more is
+        // refused.
+        let mut a = vec![0.0f32; 1 << 16];
+        a[(1 << 16) - 1] = 2.0;
+        let p = PackedPanels::pack(1, 1 << 16, &a).unwrap();
+        assert_eq!(unpack(&p), vec![(0, (1 << 16) - 1, 2)]);
+        assert!(PackedPanels::pack(1, (1 << 16) + 1, &vec![0.0; (1 << 16) + 1]).is_none());
+    }
+
+    #[test]
+    fn pack_and_igemm_handle_empty_shapes() {
+        let b = vec![1i32; 4 * 5];
+        // No rows.
+        let p = PackedPanels::pack(0, 4, &[]).unwrap();
+        assert_eq!((p.rows(), p.max_abs()), (0, 0));
+        igemm_into(&p, &b, 5, &mut []);
+        // k = 0: nothing to accumulate, C keeps its values.
+        let p = PackedPanels::pack(3, 0, &[]).unwrap();
+        assert!(unpack(&p).is_empty());
+        let mut c = vec![7i32; 3 * 5];
+        igemm_into(&p, &[], 5, &mut c);
+        assert_eq!(c, vec![7; 15]);
+        // All-zero weights store nothing and leave C untouched.
+        let p = PackedPanels::pack(2, 4, &[0.0; 8]).unwrap();
+        assert!(p.idx.is_empty() && p.groups.is_empty());
+        let mut c = vec![-3i32; 2 * 5];
+        igemm_into(&p, &b, 5, &mut c);
+        assert_eq!(c, vec![-3; 10]);
     }
 
     #[test]
@@ -324,23 +489,54 @@ mod tests {
         assert!(PackedPanels::pack(1, 2, &[1.0, 1.5]).is_none());
         assert!(PackedPanels::pack(1, 2, &[1.0, 129.0]).is_none());
         assert!(PackedPanels::pack(1, 2, &[-129.0, 0.0]).is_none());
+        for bad in [f32::NAN, f32::INFINITY, -3e9, 3e9] {
+            assert!(PackedPanels::pack(1, 2, &[0.0, bad]).is_none(), "{bad}");
+        }
         assert!(PackedPanels::pack(1, 2, &[-128.0, 127.0]).is_some());
     }
 
+    /// Seeded differential test against the f32 GEMM: every weight value
+    /// set the CIM schemes produce (1-bit cell slices, BWMA's `±1`, wider
+    /// cells, full i8), 1–9 rows, and widths `n` that hit every
+    /// column-block tail, on a C pre-filled with nonzero values so the
+    /// `C += A·B` contract is pinned.
     #[test]
     fn igemm_matches_f32_gemm() {
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 5, 7), (8, 27, 25), (5, 9, 16)] {
-            let a = int_filled(m * k, 1, -4, 3);
-            let b = int_filled(k * n, 2, 0, 7);
-            let mut want = vec![0.0f32; m * n];
-            gemm_nn_acc(m, k, n, &a, &b, &mut want);
-            let packed = PackedPanels::pack(m, k, &a).unwrap();
-            let b32: Vec<i32> = b.iter().map(|&v| v as i32).collect();
-            let mut acc = vec![0i32; m * n];
-            igemm_into(&packed, &b32, n, &mut acc);
-            let mut got = vec![0.0f32; m * n];
-            accum_to_f32(&acc, &mut got);
-            assert_eq!(got, want, "m={m} k={k} n={n}");
+        let value_sets: [&[i32]; 7] = [
+            &[0, 1],
+            &[-1, 0],
+            &[-1, 1],
+            &[0, 1, 2, 3],
+            &[-2, -1, 0, 1],
+            &[-4, -3, -2, -1, 0, 1, 2, 3],
+            &[],
+        ];
+        let mut rng = crate::CqRng::new(0x15);
+        for values in value_sets {
+            for rows in 1..=9usize {
+                for &n in &[1usize, 7, 8, 31, 32, 33, 64, 100, 1024] {
+                    let k = 1 + rng.below(48);
+                    let a: Vec<f32> = (0..rows * k)
+                        .map(|_| match values {
+                            [] => rng.below(256) as f32 - 128.0,
+                            vs => vs[rng.below(vs.len())] as f32,
+                        })
+                        .collect();
+                    let b: Vec<f32> = (0..k * n).map(|_| rng.below(256) as f32 - 128.0).collect();
+                    let c0: Vec<f32> = (0..rows * n)
+                        .map(|_| rng.below(2001) as f32 - 1000.0)
+                        .collect();
+                    let mut want = c0.clone();
+                    gemm_nn_acc(rows, k, n, &a, &b, &mut want);
+                    let packed = PackedPanels::pack(rows, k, &a).unwrap();
+                    let b32: Vec<i32> = b.iter().map(|&v| v as i32).collect();
+                    let mut acc: Vec<i32> = c0.iter().map(|&v| v as i32).collect();
+                    igemm_into(&packed, &b32, n, &mut acc);
+                    let mut got = vec![0.0f32; rows * n];
+                    accum_to_f32(&acc, &mut got);
+                    assert_eq!(got, want, "values {values:?} rows={rows} k={k} n={n}");
+                }
+            }
         }
     }
 

@@ -54,6 +54,18 @@ fn main() {
     );
     println!("bit-exact: fast emulation == crossbar engine ✓");
 
+    // The frozen serving path: weight slices repacked once at freeze and
+    // run on the default backend chain (the integer kernels when the
+    // slices are integer-exact, as they are without variation).
+    layer.freeze();
+    let frozen = layer.forward(&x, Mode::Eval);
+    let backend = layer.active_backend().expect("frozen layer").name();
+    assert_eq!(
+        frozen, slow,
+        "frozen {backend} kernels must match the crossbar engine"
+    );
+    println!("bit-exact: frozen {backend} kernels == crossbar engine ✓");
+
     // Now with per-cell log-normal variation (paper Eq. 5).
     for sigma in [0.05f32, 0.15, 0.25] {
         let mut noisy = CrossbarLayer::new(layer.to_quantized_conv());
