@@ -9,11 +9,8 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod kernels;
 pub mod schemes;
-pub mod serving;
 pub mod tables;
-pub mod throughput;
 
 use crate::ExperimentSetting;
 use cq_core::{build_cim_resnet, set_psum_quant_enabled, QuantScheme};

@@ -1,9 +1,11 @@
 //! # cq-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
+//! The harness that regenerates every table and figure of the
 //! ColumnQuant paper. Each experiment lives in [`experiments`] and is
-//! exposed both as a binary (`cargo run -p cq-bench --bin fig7a`) and
-//! through the `figures` bench target (`cargo bench -p cq-bench`).
+//! exposed as a binary (`cargo run -p cq-bench --bin fig7a`); the `all`
+//! binary regenerates every one in order. Performance of the serving
+//! stack and the kernels is measured by the repository benchmark under
+//! `perfbench/`, not here.
 //!
 //! Experiment sizes honor the `CQ_SCALE` environment variable:
 //! `ci` (seconds, smoke), `quick` (default, minutes), `full`

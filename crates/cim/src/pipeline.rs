@@ -881,12 +881,16 @@ mod tests {
     use super::*;
     use crate::CimConfig;
     use cq_quant::QuantFormat;
-    use cq_tensor::{IntPanels, SimdF32};
+    use cq_tensor::{IntPanels, ScalarRef, SimdF32};
 
     fn small_pipeline() -> (PsumPipeline, Tensor) {
-        let cfg = CimConfig::tiny(); // 32×32, 3 splits
-        let (in_ch, out_ch, k) = (7, 5, 3);
-        let plan = TilingPlan::new(&cfg, in_ch, out_ch, k, k);
+        pipeline(&CimConfig::tiny(), 7, 5) // 32×32, 3 splits
+    }
+
+    /// A 3×3 pipeline under `cfg` with seeded 3-bit integer weights.
+    fn pipeline(cfg: &CimConfig, in_ch: usize, out_ch: usize) -> (PsumPipeline, Tensor) {
+        let k = 3;
+        let plan = TilingPlan::new(cfg, in_ch, out_ch, k, k);
         let mut rng = CqRng::new(3);
         let w_int = rng
             .uniform_tensor(&[out_ch, in_ch, k, k], -4.0, 4.0)
@@ -984,30 +988,32 @@ mod tests {
         assert_eq!(psums, want, "dirty-scratch call diverged");
     }
 
-    /// The integer panel front-end must match the f32 grouped convolution
-    /// bit-for-bit, for the full plan and for every single row tile, on
-    /// dirty reused buffers.
-    #[test]
-    fn integer_psums_match_f32_path() {
-        let (pl, w_int) = small_pipeline();
+    /// All three backends must produce the same partial sums bit-for-bit
+    /// on `batch` seeded 3-bit activation images of `hw`×`hw`: `ScalarRef`
+    /// and `SimdF32` through the f32 grouped convolution, `IntPanels`
+    /// through the repacked integer panels — for the full plan and for
+    /// every single row tile, on dirty reused buffers.
+    fn assert_backends_agree(pl: &PsumPipeline, w_int: &Tensor, batch: usize, hw: usize) {
         let p = pl.plan().clone();
-        let mut rng = CqRng::new(29);
-        let a_int = rng
-            .uniform_tensor(&[2, p.in_ch, 6, 6], 0.0, 8.0)
+        let area = hw * hw;
+        let a_int = CqRng::new(29)
+            .uniform_tensor(&[batch, p.in_ch, hw, hw], 0.0, 8.0)
             .map(f32::floor);
-        let mut a_pad = Tensor::zeros(&[2, p.padded_in_ch, 6, 6]);
-        let chw = p.in_ch * 36;
-        let pchw = p.padded_in_ch * 36;
-        for bi in 0..2 {
+        let mut a_pad = Tensor::zeros(&[batch, p.padded_in_ch, hw, hw]);
+        let chw = p.in_ch * area;
+        let pchw = p.padded_in_ch * area;
+        for bi in 0..batch {
             a_pad.data_mut()[bi * pchw..bi * pchw + chw]
                 .copy_from_slice(&a_int.data()[bi * chw..(bi + 1) * chw]);
         }
-        let weights = pl.split_grouped_weights(&w_int);
+        let weights = pl.split_grouped_weights(w_int);
         let int_weights = pl
             .split_grouped_weights_int(&weights, 7.0)
-            .expect("tiny config slices are integer-eligible");
-        let want = pl.grouped_psums(&a_pad, &weights);
-        let mut psums = Vec::new();
+            .expect("3-bit slices are integer-eligible");
+        let (mut want, mut psums, mut col) = (Vec::new(), Vec::new(), Vec::new());
+        pl.grouped_psums_into(&ScalarRef, &a_pad, &weights, &mut want, &mut col);
+        pl.grouped_psums_into(&SimdF32, &a_pad, &weights, &mut psums, &mut col);
+        assert_eq!(psums, want, "SimdF32 diverged from ScalarRef");
         pl.grouped_psums_int_into(
             &IntPanels,
             &a_pad,
@@ -1015,7 +1021,7 @@ mod tests {
             0..p.num_row_tiles,
             &mut psums,
         );
-        assert_eq!(psums, want);
+        assert_eq!(psums, want, "IntPanels diverged from ScalarRef");
         // Dirty reuse must stay identical.
         pl.grouped_psums_int_into(
             &IntPanels,
@@ -1027,19 +1033,19 @@ mod tests {
         assert_eq!(psums, want, "dirty-scratch call diverged");
         // Every single row tile, fed only its own channel block, must equal
         // its block of the full result.
-        let c_blk = p.ch_per_array * 36;
-        let blk = p.out_ch * 36;
+        let c_blk = p.ch_per_array * area;
+        let blk = p.out_ch * area;
         let full_blk = p.num_row_tiles * blk;
         for g in 0..p.num_row_tiles {
-            let mut a_tile = Tensor::zeros(&[2, p.ch_per_array, 6, 6]);
-            for bi in 0..2 {
+            let mut a_tile = Tensor::zeros(&[batch, p.ch_per_array, hw, hw]);
+            for bi in 0..batch {
                 a_tile.data_mut()[bi * c_blk..(bi + 1) * c_blk]
                     .copy_from_slice(&a_pad.data()[bi * pchw + g * c_blk..][..c_blk]);
             }
             let mut tile_psums = Vec::new();
             pl.grouped_psums_int_into(&IntPanels, &a_tile, &int_weights, g..g + 1, &mut tile_psums);
             for (tp, full) in tile_psums.iter().zip(&want) {
-                for bi in 0..2 {
+                for bi in 0..batch {
                     assert_eq!(
                         &tp.data()[bi * blk..(bi + 1) * blk],
                         &full.data()[bi * full_blk + g * blk..][..blk],
@@ -1047,6 +1053,21 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The scalar, f32 and integer backends agree bit-for-bit on the tiny
+    /// test geometry and on the paper's (Table II CIFAR-10 column: 128×128
+    /// arrays, 3b weights in 1b cells, 3b activations) ResNet-20 stage
+    /// shapes, the widest spanning ten row tiles.
+    #[test]
+    fn integer_psums_match_f32_path() {
+        let (pl, w_int) = small_pipeline();
+        assert_backends_agree(&pl, &w_int, 2, 6);
+        let cfg = CimConfig::cifar10();
+        for (in_ch, out_ch, hw) in [(16, 16, 8), (64, 64, 8), (128, 128, 4)] {
+            let (pl, w_int) = pipeline(&cfg, in_ch, out_ch);
+            assert_backends_agree(&pl, &w_int, 2, hw);
         }
     }
 

@@ -261,7 +261,7 @@ impl PreparedCimModel {
 
     /// Counts frozen CIM layers by resolved backend, indexed by
     /// [`BackendKind::index`] — the per-backend observability hook behind
-    /// `ServeStats` and the serving benches.
+    /// `ServeStats`.
     pub fn backend_layer_counts(&self) -> [usize; 3] {
         self.backend_layers
     }

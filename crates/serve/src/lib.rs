@@ -115,11 +115,10 @@
 //! with [`Completed::missed`] set, and [`ServeStats`] reports per-class
 //! served/missed counters plus [`ServeStats::aged_promotions`].
 //!
-//! [`StreamSpec`] generates seeded Poisson-ish open-loop request streams
-//! with a configurable latency-class fraction; the `cq-bench` `serving`
-//! experiment replays them through a multiplexed [`CompletionSet`]
-//! client and reports per-class p50/p99 latency, deadline-miss rate,
-//! images/sec, and queue depth (`BENCH_serving.json`).
+//! The repository benchmark's `serve-open` workload (`perfbench/`)
+//! drives a session with seeded open-loop Poisson load through a
+//! multiplexed [`CompletionSet`] client and reports latency, images/sec
+//! and queue depth.
 //!
 //! ## Example
 //!
@@ -171,7 +170,6 @@ mod registry;
 mod request;
 mod server;
 mod session;
-mod stream;
 
 pub use completion::{CompletionSet, TicketKey};
 pub use config::{ConfigError, SchedulerPolicy, ServeConfig, ServeConfigBuilder, TenantSpec};
@@ -188,4 +186,3 @@ pub use registry::{EvictTicket, ModelId, ModelRegistry, SwapError};
 pub use request::{Request, TenantId};
 pub use server::CimServer;
 pub use session::ServeSession;
-pub use stream::{StreamRequest, StreamSpec};

@@ -80,6 +80,8 @@ pub enum SubmitError {
     /// The [`Request`](crate::Request) was built without
     /// [`batch`](crate::Request::batch) — there is nothing to run.
     MissingInput,
+    /// The input is not a rank-4 `[B, C, H, W]` tensor; it is handed back.
+    InvalidInput(Tensor),
     /// The server is shutting down; the input is handed back.
     Closed(Tensor),
 }

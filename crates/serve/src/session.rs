@@ -142,20 +142,19 @@ impl ServeSession {
     ///
     /// [`SubmitError::UnknownModel`] for an unregistered (or evicted)
     /// target; [`SubmitError::MissingInput`] for a request built without
-    /// [`Request::batch`]; [`SubmitError::QuotaExceeded`] when the
-    /// request's tenant is at a quota (the input is handed back);
-    /// [`SubmitError::QueueFull`] when full under
-    /// [`Admission::Reject`](crate::Admission) (the input is handed
-    /// back); [`SubmitError::Closed`] once shutdown has begun.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank 4.
+    /// [`Request::batch`]; [`SubmitError::InvalidInput`] for an input
+    /// that is not rank 4 (the input is handed back);
+    /// [`SubmitError::QuotaExceeded`] when the request's tenant is at a
+    /// quota (the input is handed back); [`SubmitError::QueueFull`] when
+    /// full under [`Admission::Reject`](crate::Admission) (the input is
+    /// handed back); [`SubmitError::Closed`] once shutdown has begun.
     pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
         let shared = &self.inner().shared;
         let registry = &shared.registry;
         let input = request.input.ok_or(SubmitError::MissingInput)?;
-        assert_eq!(input.rank(), 4, "request must be [B,C,H,W]");
+        if input.rank() != 4 {
+            return Err(SubmitError::InvalidInput(input));
+        }
         let tenant = match &request.tenant {
             None => 0,
             Some(t) => shared.queue.resolve_tenant(t.name()),

@@ -11,12 +11,18 @@
 //!   `SubmitError::UnknownModel`, re-resolves, and carries on;
 //! * **reclaim round-trip** — every evict ticket resolves with its
 //!   drained `PreparedCimModel`, which then round-trips through
-//!   `ModelRegistry::from_models` and serves bit-exactly again.
+//!   `ModelRegistry::from_models` and serves bit-exactly again;
+//! * **tenant attribution** — rerun on an autoscaling pool with two
+//!   weighted tenants, every request lands in its tenant's served count
+//!   and latency histogram.
 
 use cq_cim::CimConfig;
 use cq_core::{build_cim_resnet, PreparedCimModel, QuantScheme};
 use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
-use cq_serve::{Admission, CimServer, ModelRegistry, Request, ServeConfig, SubmitError, Ticket};
+use cq_serve::{
+    Admission, CimServer, ModelRegistry, Request, ServeConfig, ServeConfigBuilder, ServeStats,
+    SubmitError, TenantSpec, Ticket,
+};
 use cq_tensor::{CqRng, Tensor};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -52,27 +58,30 @@ fn version_seed(version: usize) -> u64 {
     200 + version as u64
 }
 
-#[test]
-fn hot_swap_churn_loses_nothing_and_stays_version_exact() {
+const SWAPS: usize = 3;
+
+/// The churn configuration shared by both churn runs.
+fn churn_config() -> ServeConfigBuilder {
+    ServeConfig::builder()
+        .queue_capacity(8)
+        .admission(Admission::Block)
+        .max_batch(Some(3))
+        .max_wait(Duration::from_micros(200))
+}
+
+/// Runs the churn scenario on a session built from `cfg`: producer `p`
+/// tags its requests with `tenants[p % tenants.len()]` (untagged when
+/// `tenants` is empty) while a swapper hot-swaps "hot" `SWAPS` times.
+/// Asserts zero lost tickets, versioned bit-exactness, the swap counters
+/// and the reclaim round-trip; returns the final stats.
+fn run_churn(cfg: ServeConfig, tenants: &[&str]) -> ServeStats {
     const PRODUCERS: usize = 3;
     const PER_PRODUCER: usize = 14;
-    const SWAPS: usize = 3;
 
     let mut registry = ModelRegistry::new();
     registry.register("keep", prepared(99));
     let hot_v0 = registry.register("hot", prepared(version_seed(0)));
-    let session = CimServer::new(
-        registry,
-        ServeConfig::builder()
-            .queue_capacity(8)
-            .admission(Admission::Block)
-            .max_batch(Some(3))
-            .max_wait(Duration::from_micros(200))
-            .workers(2)
-            .build()
-            .unwrap(),
-    )
-    .start();
+    let session = CimServer::new(registry, cfg).start();
 
     // The swapper publishes (version, id) of the live "hot" model here;
     // producers snapshot it per request and retry on the eviction race.
@@ -88,6 +97,10 @@ fn hot_swap_churn_loses_nothing_and_stays_version_exact() {
         for p in 0..PRODUCERS {
             let session = &session;
             let live_hot = &live_hot;
+            let tag = move |r: Request| match tenants {
+                [] => r,
+                _ => r.tenant(tenants[p % tenants.len()]),
+            };
             producers.push(scope.spawn(move || {
                 let rng = &mut CqRng::new(7000 + p as u64);
                 let mut mine: Vec<Submitted> = Vec::new();
@@ -96,7 +109,7 @@ fn hot_swap_churn_loses_nothing_and_stays_version_exact() {
                     let x = rng.normal_tensor(&[batch, 3, 12, 12], 1.0);
                     if rng.below(4) == 0 {
                         let t = session
-                            .submit(Request::to("keep").batch(x.clone()))
+                            .submit(tag(Request::to("keep").batch(x.clone())))
                             .expect("stable model always admits");
                         mine.push((usize::MAX, x, t));
                         continue;
@@ -107,7 +120,7 @@ fn hot_swap_churn_loses_nothing_and_stays_version_exact() {
                     // immediately after every evict).
                     loop {
                         let (version, id) = *live_hot.lock().unwrap();
-                        match session.submit(Request::to_id(id).batch(x.clone())) {
+                        match session.submit(tag(Request::to_id(id).batch(x.clone()))) {
                             Ok(t) => {
                                 mine.push((version, x, t));
                                 break;
@@ -192,6 +205,45 @@ fn hot_swap_churn_loses_nothing_and_stays_version_exact() {
         session.shutdown();
         assert_eq!(got, want, "reclaimed v{version} diverged after round-trip");
     }
+    stats
+}
+
+#[test]
+fn hot_swap_churn_loses_nothing_and_stays_version_exact() {
+    run_churn(churn_config().workers(2).build().unwrap(), &[]);
+}
+
+/// The same churn against an autoscaling `1..=3` worker pool with two
+/// weighted tenants: on top of the churn invariants, every tenant's
+/// latency histogram records each request it served, and the tenants'
+/// served counts add up to the session's. Resize counts are timing-
+/// dependent and pinned by `autoscale_soak` instead.
+#[test]
+fn hot_swap_churn_under_autoscale_and_tenants_attributes_every_request() {
+    let cfg = churn_config()
+        .autoscale(1, 3)
+        .scale_up_after(Duration::from_millis(1))
+        .tenant(TenantSpec::new("acme").weight(2.0))
+        .tenant(TenantSpec::new("beta"))
+        .build()
+        .unwrap();
+    let stats = run_churn(cfg, &["acme", "beta"]);
+    for t in &stats.tenants {
+        assert_eq!(t.histogram.count(), t.served, "{}: histogram count", t.name);
+    }
+    let served = |name: &str| {
+        let t = stats.tenants.iter().find(|t| t.name == name);
+        t.map_or(0, |t| t.served)
+    };
+    assert!(
+        served("acme") > 0 && served("beta") > 0,
+        "both tenants served"
+    );
+    let tenant_served: u64 = stats.tenants.iter().map(|t| t.served).sum();
+    assert_eq!(
+        tenant_served, stats.served,
+        "tenants account for every request"
+    );
 }
 
 /// Evicting while idle resolves the ticket immediately; the name becomes

@@ -7,8 +7,8 @@ use cq_cim::CimConfig;
 use cq_core::{build_cim_resnet, PreparedCimModel, QuantScheme};
 use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
 use cq_serve::{
-    Admission, CimServer, ConfigError, ModelRegistry, Request, ServeConfig, ServeSession, Slo,
-    StreamSpec, SubmitError, Ticket,
+    Admission, BackendKind, BackendSet, CimServer, ConfigError, ModelRegistry, Request,
+    ServeConfig, ServeSession, ServeStats, Slo, SubmitError, Ticket,
 };
 use cq_tensor::{CqRng, Tensor};
 use std::time::Duration;
@@ -401,20 +401,15 @@ fn reject_admission_sheds_load_with_exact_accounting() {
 fn multi_model_residency_is_isolated_and_bit_exact() {
     let mut ref_a = warmed_net(10);
     let mut ref_b = warmed_net(20);
-    let stream = StreamSpec {
-        rate_rps: 1e6, // arrivals effectively back-to-back
-        requests: 24,
-        models: 2,
-        batch_choices: vec![1, 2, 5],
-        latency_fraction: 0.0,
-        seed: 99,
-        tenants: vec![],
-    }
-    .generate();
+    // A seeded interleaving of models and batch sizes.
+    let pick = &mut CqRng::new(99);
     let rng = &mut CqRng::new(5);
-    let inputs: Vec<(usize, Tensor)> = stream
-        .iter()
-        .map(|r| (r.model, request(rng, r.batch)))
+    let inputs: Vec<(usize, Tensor)> = (0..24)
+        .map(|_| {
+            let model = pick.below(2);
+            let batch = [1, 2, 5][pick.below(3)];
+            (model, request(rng, batch))
+        })
         .collect();
     let want: Vec<Tensor> = inputs
         .iter()
@@ -460,20 +455,9 @@ fn multi_model_residency_is_isolated_and_bit_exact() {
 /// and the scheduler coalesces up to the cap.
 #[test]
 fn scheduler_is_deterministic_under_a_seeded_stream() {
-    let stream = StreamSpec {
-        rate_rps: 1e6,
-        requests: 16,
-        models: 1,
-        batch_choices: vec![1],
-        latency_fraction: 0.0,
-        seed: 7,
-        tenants: vec![],
-    }
-    .generate();
-
     let run = || {
         let rng = &mut CqRng::new(6);
-        let inputs: Vec<Tensor> = stream.iter().map(|r| request(rng, r.batch)).collect();
+        let inputs: Vec<Tensor> = (0..16).map(|_| request(rng, 1)).collect();
         let mut registry = ModelRegistry::new();
         registry.register("m", prepared(30));
         let session = CimServer::new(
@@ -545,8 +529,8 @@ fn panicking_sweep_leaves_the_model_servable_by_other_workers() {
     assert!(shut.is_err(), "shutdown must re-raise the worker panic");
 }
 
-/// Unknown models and batch-less requests fail recoverably at
-/// submission — no panic, the session stays usable.
+/// Unknown models, batch-less requests and inputs that are not rank 4
+/// fail recoverably at submission — no panic, the session stays usable.
 #[test]
 fn unknown_model_and_missing_input_are_rejected_at_submit() {
     let mut registry = ModelRegistry::new();
@@ -557,15 +541,26 @@ fn unknown_model_and_missing_input_are_rejected_at_submit() {
         .err()
         .unwrap();
     let missing = session.submit(Request::to("only")).err().unwrap();
-    // The session survives both rejections.
+    let invalid = session
+        .submit(Request::to("only").batch(Tensor::zeros(&[3, 12, 12])))
+        .err()
+        .unwrap();
+    // The session survives every rejection.
     let served = session
         .submit(Request::to("only").batch(Tensor::zeros(&[1, 3, 12, 12])))
         .unwrap()
         .wait();
-    session.shutdown();
+    let (stats, _) = session.shutdown();
     assert!(matches!(unknown, SubmitError::UnknownModel(name) if name == "missing"));
     assert!(matches!(missing, SubmitError::MissingInput));
+    match invalid {
+        SubmitError::InvalidInput(given_back) => {
+            assert_eq!(given_back.shape(), &[3, 12, 12], "input handed back")
+        }
+        other => panic!("a rank-3 input must be rejected, got {other:?}"),
+    }
     assert_eq!(served.output.dim(0), 1);
+    assert_eq!(stats.submitted, 1, "rejected requests are never admitted");
 }
 
 /// Session ergonomics: `model_id` resolves names for `Request::to_id`
@@ -649,8 +644,7 @@ fn single_worker_serves_oversized_request_bit_exactly() {
     assert_eq!(stats.batches, 1);
 }
 
-/// The stream-class distribution helper still drives the replay loop —
-/// a regression guard that `Slo` defaults survive the request builder.
+/// A regression guard that `Slo` defaults survive the request builder.
 #[test]
 fn request_builder_defaults_to_bulk() {
     let mut registry = ModelRegistry::new();
@@ -666,4 +660,66 @@ fn request_builder_defaults_to_bulk() {
     assert_eq!(slo, Slo::Bulk);
     assert_eq!(stats.bulk.served, 1);
     assert_eq!(stats.latency.served, 0);
+}
+
+/// Per-backend attribution: every sweep and image of a one-model session
+/// lands on the model's primary backend and nowhere else,
+/// `active_layers` mirrors the model's resolved layer counts until it is
+/// evicted, and the Prometheus rendering carries the sweep counters. Run
+/// under the scalar chain and the auto chain (the default without
+/// `CQ_BACKEND`).
+#[test]
+fn backend_counters_attribute_sweeps_to_the_primary_backend() {
+    for (backends, primary) in [
+        (BackendSet::scalar(), BackendKind::Scalar),
+        (BackendSet::auto(), BackendKind::IntPanels),
+    ] {
+        let mut registry = ModelRegistry::new();
+        registry.register("m", prepared(70));
+        let session = CimServer::new(
+            registry,
+            ServeConfig::builder()
+                .workers(1)
+                .max_batch(Some(2))
+                .backends(backends.clone())
+                .build()
+                .unwrap(),
+        )
+        .start();
+        let rng = &mut CqRng::new(71);
+        let inputs: Vec<Tensor> = [1usize, 2, 1, 3].iter().map(|&b| request(rng, b)).collect();
+        submit_and_wait(&session, &inputs);
+
+        let mut model = prepared(70);
+        model.set_backends(backends).unwrap();
+        let layers = model.backend_layer_counts();
+        assert!(layers[primary.index()] > 0, "{primary:?} serves the model");
+        let active = |s: &ServeStats| s.backends.map(|b| b.active_layers);
+        assert_eq!(active(&session.stats()), layers, "live active layers");
+        let evicted = session
+            .evict("m")
+            .unwrap()
+            .wait_timeout(Duration::from_secs(60))
+            .expect("idle model drains");
+        assert_eq!(evicted.backend_layer_counts(), layers);
+        let (stats, _) = session.shutdown();
+        assert_eq!(active(&stats), [0; 3], "eviction retires the layers");
+
+        assert_eq!(stats.rows_swept, 7);
+        for kind in BackendKind::ALL {
+            let b = stats.backends[kind.index()];
+            let want = if kind == primary {
+                (stats.batches, stats.rows_swept)
+            } else {
+                (0, 0)
+            };
+            assert_eq!((b.sweeps, b.images), want, "{kind:?} sweeps/images");
+        }
+        let line = format!(
+            "cq_serve_backend_sweeps_total{{backend=\"{}\"}} {}\n",
+            primary.name(),
+            stats.batches
+        );
+        assert!(stats.render_prometheus().contains(&line), "missing {line}");
+    }
 }

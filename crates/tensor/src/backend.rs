@@ -57,7 +57,7 @@ impl BackendKind {
         BackendKind::IntPanels,
     ];
 
-    /// Stable short name (used in bench JSON and `ServeStats`).
+    /// Stable short name (used in `ServeStats` and its Prometheus labels).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",

@@ -63,7 +63,7 @@ pub use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
 pub use cq_quant::Granularity;
 pub use cq_serve::{
     Admission, CimServer, CompletionSet, EvictTicket, ModelRegistry, Request, SchedulerPolicy,
-    ServeConfig, ServeSession, Slo, StreamSpec, TenantId, TenantSpec, Ticket,
+    ServeConfig, ServeSession, Slo, TenantId, TenantSpec, Ticket,
 };
 pub use cq_tensor::Tensor;
 pub use cq_train::{train_with_scheme, TrainConfig, TrainResult};
