@@ -30,11 +30,11 @@
 //! chunked-sweep decomposition, outputs stay bit-identical at every
 //! depth and pool width — pipelining reschedules work, never arithmetic.
 
-use crate::{for_each_cim_conv, load_cim_checkpoint};
+use crate::{for_each_cim_conv, load_cim_checkpoint, CimConv2d};
 use cq_cim::{BackendError, BackendKind, BackendSet};
-use cq_nn::Layer;
+use cq_nn::{Conv2d, Layer};
 use cq_tensor::{exec, Tensor};
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::ops::Range;
 use std::path::Path;
 
@@ -68,14 +68,35 @@ pub struct PreparedCimModel {
     scheme: Box<str>,
     /// Frozen CIM layers per resolved backend, refreshed by
     /// [`PreparedCimModel::set_backends`] — the only mutation that can
-    /// change it.
-    backend_layers: [usize; 3],
+    /// change it. `u32` counts and channels keep the model, and the
+    /// serving errors that hand one back, small.
+    backend_layers: [u32; 3],
+    /// Input channels of the first convolution (see
+    /// [`PreparedCimModel::in_channels`]), fixed at preparation.
+    in_channels: Option<NonZeroU32>,
+}
+
+/// Input channels of `model`'s first convolution in
+/// [`Layer::apply`] order, full-precision or CIM (`None` without one).
+fn first_conv_in_channels(model: &mut dyn Layer) -> Option<NonZeroU32> {
+    let mut found = None;
+    model.apply(&mut |l| {
+        if found.is_none() {
+            let l = l.as_any_mut();
+            let channels = match l.downcast_mut::<Conv2d>() {
+                Some(conv) => Some(conv.weight().dim(1)),
+                None => l.downcast_mut::<CimConv2d>().map(|c| c.plan().in_ch),
+            };
+            found = channels.and_then(|c| NonZeroU32::new(c.try_into().ok()?));
+        }
+    });
+    found
 }
 
 /// Counts `model`'s frozen CIM layers by resolved backend, indexed by
 /// [`BackendKind::index`]; unfrozen layers count nowhere.
-fn backend_layer_counts(model: &mut dyn Layer) -> [usize; 3] {
-    let mut counts = [0usize; 3];
+fn backend_layer_counts(model: &mut dyn Layer) -> [u32; 3] {
+    let mut counts = [0u32; 3];
     for_each_cim_conv(model, |c| {
         if let Some(kind) = c.active_backend() {
             counts[kind.index()] += 1;
@@ -100,12 +121,14 @@ impl PreparedCimModel {
             }
         });
         let backend_layers = backend_layer_counts(model.as_mut());
+        let in_channels = first_conv_in_channels(model.as_mut());
         Self {
             model,
             max_batch: None,
             pipeline_depth: 2,
             scheme: scheme.unwrap_or_else(|| "custom".into()),
             backend_layers,
+            in_channels,
         }
     }
 
@@ -153,6 +176,14 @@ impl PreparedCimModel {
     pub fn set_pipeline_depth(&mut self, depth: usize) {
         assert!(depth >= 1, "pipeline depth must be positive");
         self.pipeline_depth = depth;
+    }
+
+    /// Input channels the model's first convolution expects (`C` of a
+    /// `[B, C, H, W]` input), recorded at preparation; `None` for a model
+    /// without a convolution. A serving front-end checks requests against
+    /// it before they reach a sweep, where a mismatch would panic.
+    pub fn in_channels(&self) -> Option<usize> {
+        self.in_channels.map(|c| c.get() as usize)
     }
 
     /// The active wave count — the introspection counterpart of
@@ -255,7 +286,7 @@ impl PreparedCimModel {
     /// layers)` — the observability hook tests and benchmarks use to
     /// assert which kernel actually ran.
     pub fn count_integer_kernels(&self) -> (usize, usize) {
-        let counts = self.backend_layers;
+        let counts = self.backend_layer_counts();
         (counts[BackendKind::IntPanels.index()], counts.iter().sum())
     }
 
@@ -263,7 +294,7 @@ impl PreparedCimModel {
     /// [`BackendKind::index`] — the per-backend observability hook behind
     /// `ServeStats`.
     pub fn backend_layer_counts(&self) -> [usize; 3] {
-        self.backend_layers
+        self.backend_layers.map(|n| n as usize)
     }
 
     /// The backend serving the most frozen layers (`None` when no layer

@@ -80,7 +80,9 @@ pub enum SubmitError {
     /// The [`Request`](crate::Request) was built without
     /// [`batch`](crate::Request::batch) — there is nothing to run.
     MissingInput,
-    /// The input is not a rank-4 `[B, C, H, W]` tensor; it is handed back.
+    /// The input is not a rank-4 `[B, C, H, W]` tensor, or its `C` is
+    /// not the channel count the model's first convolution expects; it
+    /// is handed back.
     InvalidInput(Tensor),
     /// The server is shutting down; the input is handed back.
     Closed(Tensor),

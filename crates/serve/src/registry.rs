@@ -235,6 +235,9 @@ struct Slot {
     /// ([`PreparedCimModel::scheme`]) — immutable per slot, so stats
     /// scrapes read it without touching the model.
     scheme: String,
+    /// [`PreparedCimModel::in_channels`], kept beside the model so
+    /// admission checks a request without touching it.
+    in_channels: Option<usize>,
     /// Locked only to clone, read or take the `Arc` — never across a
     /// sweep.
     model: Mutex<Option<Arc<PreparedCimModel>>>,
@@ -246,6 +249,7 @@ impl Slot {
         Arc::new(Slot {
             name,
             scheme: model.scheme().to_string(),
+            in_channels: model.in_channels(),
             model: Mutex::new(Some(Arc::new(model))),
             life: Mutex::new(SlotLife {
                 in_flight: 0,
@@ -446,13 +450,14 @@ impl ModelRegistry {
     }
 
     /// Counts one admitted request against slot `id`, atomically checking
-    /// liveness — the eviction drain barrier.
+    /// liveness — the eviction drain barrier — and returns the model's
+    /// [`in_channels`](PreparedCimModel::in_channels).
     ///
     /// # Errors
     ///
     /// The evicted/unknown model's name, for
     /// [`SubmitError::UnknownModel`](crate::SubmitError).
-    pub(crate) fn admit(&self, id: ModelId) -> Result<(), SubmitError> {
+    pub(crate) fn admit(&self, id: ModelId) -> Result<Option<usize>, SubmitError> {
         let slot = match self.slots.read().unwrap().get(id.0) {
             Some(slot) => slot.clone(),
             None => return Err(SubmitError::UnknownModel(format!("#{}", id.0))),
@@ -462,12 +467,13 @@ impl ModelRegistry {
             return Err(SubmitError::UnknownModel(slot.name.clone()));
         }
         life.in_flight += 1;
-        Ok(())
+        Ok(slot.in_channels)
     }
 
     /// Resolves a name to a live slot and admits one request against it
-    /// in the same breath (no lookup-then-evict race).
-    pub(crate) fn admit_name(&self, name: &str) -> Result<ModelId, SubmitError> {
+    /// in the same breath (no lookup-then-evict race), like
+    /// [`admit`](ModelRegistry::admit).
+    pub(crate) fn admit_name(&self, name: &str) -> Result<(ModelId, Option<usize>), SubmitError> {
         let (idx, slot) = {
             let slots = self.slots.read().unwrap();
             match slots
@@ -485,7 +491,7 @@ impl ModelRegistry {
             return Err(SubmitError::UnknownModel(name.to_string()));
         }
         life.in_flight += 1;
-        Ok(ModelId(idx))
+        Ok((ModelId(idx), slot.in_channels))
     }
 
     /// Releases one admitted request against slot `id` (fulfilment or a

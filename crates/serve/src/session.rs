@@ -143,7 +143,9 @@ impl ServeSession {
     /// [`SubmitError::UnknownModel`] for an unregistered (or evicted)
     /// target; [`SubmitError::MissingInput`] for a request built without
     /// [`Request::batch`]; [`SubmitError::InvalidInput`] for an input
-    /// that is not rank 4 (the input is handed back);
+    /// that is not rank 4, or whose channel count is not the model's
+    /// [`in_channels`](PreparedCimModel::in_channels) (the input
+    /// is handed back);
     /// [`SubmitError::QuotaExceeded`] when the request's tenant is at a
     /// quota (the input is handed back); [`SubmitError::QueueFull`] when
     /// full under [`Admission::Reject`](crate::Admission) (the input is
@@ -162,13 +164,14 @@ impl ServeSession {
         // Admission against the model slot is atomic with liveness: a
         // successful admit means the slot's eviction (if any) will wait
         // for this request to drain.
-        let model = match request.target {
-            Target::Id(id) => {
-                registry.admit(id)?;
-                id
-            }
+        let (model, in_channels) = match request.target {
+            Target::Id(id) => (id, registry.admit(id)?),
             Target::Name(name) => registry.admit_name(&name)?,
         };
+        if in_channels.is_some_and(|c| c != input.dim(1)) {
+            registry.release(model);
+            return Err(SubmitError::InvalidInput(input));
+        }
         let slot = Arc::new(ResponseSlot::new());
         let ticket = Ticket::new(slot.clone(), request.slo, request.deadline);
         let queued = shared.queue.submit(

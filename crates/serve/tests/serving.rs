@@ -497,8 +497,9 @@ fn model_rejecting_an_input_panics_instead_of_hanging() {
     registry.register("m", prepared(50));
     let session =
         CimServer::new(registry, ServeConfig::builder().workers(1).build().unwrap()).start();
-    // Wrong channel count: the model's first conv rejects it.
-    let bad = Tensor::zeros(&[1, 5, 12, 12]);
+    // An empty image: admitted (rank 4, 3 channels), but the stem's
+    // 3×3 kernel does not fit it.
+    let bad = Tensor::zeros(&[1, 3, 0, 0]);
     let t = session.submit(Request::to("m").batch(bad)).unwrap();
     let _ = t.wait(); // panics: the worker abandoned the ticket
 }
@@ -513,7 +514,7 @@ fn panicking_sweep_leaves_the_model_servable_by_other_workers() {
     registry.register("m", prepared(52));
     let session =
         CimServer::new(registry, ServeConfig::builder().workers(2).build().unwrap()).start();
-    let bad = Tensor::zeros(&[1, 5, 12, 12]);
+    let bad = Tensor::zeros(&[1, 3, 0, 0]); // the stem's kernel does not fit
     let t = session.submit(Request::to("m").batch(bad)).unwrap();
     let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.wait()));
     assert!(waited.is_err(), "the rejected request's ticket must panic");
@@ -561,6 +562,57 @@ fn unknown_model_and_missing_input_are_rejected_at_submit() {
     }
     assert_eq!(served.output.dim(0), 1);
     assert_eq!(stats.submitted, 1, "rejected requests are never admitted");
+}
+
+/// A request whose channel count is not the model's (`[1,5,12,12]` to a
+/// 3-channel model) is refused at submit with its input handed back; it
+/// never reaches a sweep, where it would panic the worker. On a
+/// one-worker session a valid request is then still served bit-exact,
+/// the refusal leaves no admission behind (eviction drains at once), and
+/// shutdown is clean.
+#[test]
+fn wrong_channel_count_is_rejected_at_submit() {
+    let reference = prepared(47);
+    assert_eq!(reference.in_channels(), Some(3));
+    let mut registry = ModelRegistry::new();
+    registry.register("m", prepared(47));
+    let cfg = ServeConfig::builder().workers(1).build().unwrap();
+    let session = CimServer::new(registry, cfg).start();
+    let id = session.model_id("m").unwrap();
+    let by_name = session
+        .submit(Request::to("m").batch(Tensor::zeros(&[1, 5, 12, 12])))
+        .err()
+        .unwrap();
+    let by_id = session
+        .submit(Request::to_id(id).batch(Tensor::zeros(&[2, 1, 12, 12])))
+        .err()
+        .unwrap();
+    let x = request(&mut CqRng::new(48), 2);
+    let served = session
+        .submit(Request::to("m").batch(x.clone()))
+        .unwrap()
+        .wait();
+    let model = session
+        .evict("m")
+        .unwrap()
+        .wait_timeout(Duration::from_secs(5))
+        .expect("no refused request left an admission behind");
+    let (stats, _) = session.shutdown();
+    for (refused, shape) in [(by_name, [1, 5, 12, 12]), (by_id, [2, 1, 12, 12])] {
+        match refused {
+            SubmitError::InvalidInput(given_back) => {
+                assert_eq!(given_back.shape(), &shape, "input handed back")
+            }
+            other => panic!("a {shape:?} input must be refused, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        served.output,
+        reference.infer(&x),
+        "bit-exact after refusals"
+    );
+    assert_eq!(model.infer(&x), served.output);
+    assert_eq!((stats.submitted, stats.served), (1, 1));
 }
 
 /// Session ergonomics: `model_id` resolves names for `Request::to_id`

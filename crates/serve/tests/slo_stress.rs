@@ -608,7 +608,7 @@ fn owned_session_shutdown_propagates_worker_panics() {
     registry.register("m", prepared(96));
     let session =
         CimServer::new(registry, ServeConfig::builder().workers(1).build().unwrap()).start();
-    let bad = Tensor::zeros(&[1, 5, 12, 12]); // wrong channel count
+    let bad = Tensor::zeros(&[1, 3, 0, 0]); // the stem's kernel does not fit
     let ticket = session.submit(Request::to("m").batch(bad)).unwrap();
     // The worker abandons the ticket while unwinding: waiting on it
     // panics instead of hanging.

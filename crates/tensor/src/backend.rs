@@ -164,12 +164,17 @@ pub trait ExecBackend: Send + Sync + fmt::Debug {
         im2col_i8(img, c_start, c_len, s, col);
     }
 
-    /// Widens the i8 patch matrix to the i32 GEMM operand (step 2).
+    /// Widens the i8 patch matrix to the i32 GEMM operand (step 2). An
+    /// override must keep every entry in `[-128, 128]`, the range step 3
+    /// sums in i16 lanes.
     fn widen_i8_to_i32(&self, src: &[i8], dst: &mut [i32]) {
         widen_i8_to_i32(src, dst);
     }
 
-    /// `C += A · B` over value-grouped packed weights (step 3).
+    /// `C += A · B` over value-grouped packed weights (step 3), summed in
+    /// i16 lanes: every entry of `b` must lie in `[-128, 128]`, which
+    /// step 2's output always does (see
+    /// [`igemm_into`]).
     fn igemm_into(&self, a: &PackedPanels, b: &[i32], n: usize, c: &mut [i32]) {
         igemm_into(a, b, n, c);
     }

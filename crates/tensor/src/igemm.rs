@@ -17,11 +17,14 @@
 //!   [`conv2d_grouped`](crate::conv2d_grouped), quartering patch-matrix
 //!   write traffic.
 //! * [`widen_i8_to_i32`] — widens an i8 activation matrix to the i32
-//!   operand the kernel streams (done once per image/group, shared by
+//!   operand the kernel takes (done once per image/group, shared by
 //!   every bit-split's GEMM).
-//! * [`igemm_into`] — the `i8 × i32 → i32` accumulation kernel itself: a
-//!   register-blocked, add-only sum of the B rows each value group
-//!   selects, folded into C once per group.
+//! * [`igemm_into`] — the `i8 × i32 → i32` accumulation kernel itself: it
+//!   narrows each block of 64, 32 or 8 output columns of B to one i16
+//!   panel, sums the panel rows each value group selects in i16 lanes
+//!   (chunks of at most 255 entries, so no sum can wrap while B stays in
+//!   `[-128, 128]`), and widens each chunk's sum once as it folds into
+//!   the i32 C.
 //! * [`accum_to_f32`] / [`shift_add_into`] — the exact `i32 → f32`
 //!   epilogues: psums are integers well inside f32's 24-bit mantissa, so
 //!   converting (and optionally shift-adding across bit-splits) is
@@ -252,8 +255,9 @@ fn narrow_i8(v: f32) -> i8 {
 
 /// Widens an i8 matrix to the i32 operand [`igemm_into`] streams.
 ///
-/// Done once per image/group and shared by every bit-split's GEMM, this
-/// keeps the hot kernel free of lane-width conversions.
+/// Done once per image/group and shared by every bit-split's GEMM. Its
+/// output is always inside `[-128, 127]`, so it meets [`igemm_into`]'s
+/// B-range contract by construction.
 ///
 /// # Panics
 ///
@@ -265,21 +269,37 @@ pub fn widen_i8_to_i32(src: &[i8], dst: &mut [i32]) {
     }
 }
 
+/// Largest B magnitude [`igemm_into`] accepts.
+const B_MAX_ABS: i32 = 128;
+
+/// Most entries one i16 group sum takes before it folds into C:
+/// `255 · 128 < 2¹⁵`, so no partial sum can wrap.
+const CHUNK: usize = (i16::MAX as i32 / B_MAX_ABS) as usize;
+
 /// `C[rows,n] += A · B` where `A` is a [`PackedPanels`] weight matrix and
 /// `b` is the row-major `[k, n]` widened activation matrix.
 ///
-/// The kernel walks the output columns in blocks of 32, then 8, then 1,
-/// copying each block's B columns into one contiguous `[k, W]` panel.
-/// Within a block, for each row and each of its value groups, it sums
-/// the panel rows the group's indices select into a local `[i32; W]`
-/// accumulator — a loop of loads and adds only, with no multiply, no
-/// per-weight branch and no C traffic, which matters because packed i32
-/// multiply is the one SIMD op the x86-64 baseline lacks. The
-/// accumulator is folded into C once per group: added for `+1`,
-/// subtracted for `-1`, multiplied once for any other value. Zero
-/// weights were dropped at pack time and cost nothing.
+/// **B-range contract:** every entry of `b` must lie in `[-128, 128]`.
+/// [`widen_i8_to_i32`] only produces such entries, and the freeze gate
+/// (`act_max_abs ≤ 127`) keeps the integer chain on it. Debug builds
+/// assert it; release builds do not check, and an out-of-range entry
+/// saturates to i16 and gives wrong sums.
 ///
-/// The caller guarantees accumulators stay within i32 (see
+/// The kernel walks the output columns in blocks of `W` = 64, then 32,
+/// then 8; the last partial block is zero-padded to 8 columns and writes
+/// only its valid columns. Each block's B columns are narrowed to i16
+/// into one contiguous `[k][W]` panel (a saturating narrow, one pack
+/// instruction per vector). Within a block, for each row and each of its
+/// value groups, it sums the panel rows the group's indices select into a
+/// local `[i16; W]` accumulator — twice the lanes per register of i32, in
+/// a loop of loads and adds only, with no multiply, no per-weight branch
+/// and no C traffic. A group is summed in chunks of at most 255 entries,
+/// so no i16 sum can wrap (`255 · 128 < 2¹⁵`). Each chunk's sum widens to
+/// i32 once, when it folds into C: added for `+1`, subtracted for `-1`,
+/// multiplied once for any other value. Zero weights were dropped at pack
+/// time and cost nothing.
+///
+/// The caller guarantees C stays within i32 (see
 /// [`PackedPanels::max_abs`]); all CIM psum configurations are orders of
 /// magnitude inside the range.
 ///
@@ -289,64 +309,107 @@ pub fn widen_i8_to_i32(src: &[i8], dst: &mut [i32]) {
 pub fn igemm_into(a: &PackedPanels, b: &[i32], n: usize, c: &mut [i32]) {
     assert_eq!(b.len(), a.k * n, "B buffer length");
     assert_eq!(c.len(), a.rows * n, "C buffer length");
-    // A plain allocation, not arena scratch: one more arena checkout per
-    // call makes the arena's high-water trim drop and re-allocate buffers
-    // far more often, which raised peak memory.
-    let mut panel = vec![0i32; a.k * n.min(32)];
-    let mut j = 0;
-    while j + 32 <= n {
-        igemm_block::<32>(a, b, n, j, &mut panel, c);
-        j += 32;
-    }
-    while j + 8 <= n {
-        igemm_block::<8>(a, b, n, j, &mut panel, c);
-        j += 8;
-    }
-    while j < n {
-        igemm_block::<1>(a, b, n, j, &mut panel, c);
-        j += 1;
-    }
+    debug_assert!(
+        b.iter().all(|v| (-B_MAX_ABS..=B_MAX_ABS).contains(v)),
+        "B entry outside [-128, 128]"
+    );
+    let n64 = n / 64 * 64;
+    let n32 = n64 + (n - n64) / 32 * 32;
+    igemm_blocks::<64>(a, b, n, 0..n64, c);
+    igemm_blocks::<32>(a, b, n, n64..n32, c);
+    igemm_blocks::<8>(a, b, n, n32..n, c);
 }
 
-/// Output columns `[j, j + W)` of [`igemm_into`] for every row.
+/// Output columns `cols` of [`igemm_into`] for every row, in blocks of `W`
+/// columns; a last partial block is zero-padded to `W` lanes and writes
+/// only its valid columns.
 ///
-/// The block's B columns are copied into `panel` first. Read in place,
-/// each B row segment sits `n` elements after the previous one, and for
-/// the usual power-of-two conv outputs that stride maps all of them onto
-/// the same few L1 cache sets.
-fn igemm_block<const W: usize>(
+/// Each block's B columns are narrowed into one contiguous `[k][W]` i16
+/// panel first. Read in place, each B row segment sits `n` elements after
+/// the previous one, and for the usual power-of-two conv outputs that
+/// stride maps all of them onto the same few L1 cache sets.
+fn igemm_blocks<const W: usize>(
     a: &PackedPanels,
     b: &[i32],
     n: usize,
-    j: usize,
-    panel: &mut [i32],
+    cols: std::ops::Range<usize>,
     c: &mut [i32],
 ) {
-    let panel = &mut panel[..a.k * W];
-    for (dst, brow) in panel.chunks_exact_mut(W).zip(b.chunks_exact(n)) {
-        dst.copy_from_slice(&brow[j..j + W]);
+    if cols.is_empty() {
+        return;
     }
-    for r in 0..a.rows {
-        let crow: &mut [i32; W] = (&mut c[r * n + j..r * n + j + W]).try_into().unwrap();
-        for (value, kks) in a.row(r) {
-            let acc = sum_rows::<W>(panel, kks);
-            match value {
-                1 => crow.iter_mut().zip(&acc).for_each(|(cv, &s)| *cv += s),
-                -1 => crow.iter_mut().zip(&acc).for_each(|(cv, &s)| *cv -= s),
-                v => crow.iter_mut().zip(&acc).for_each(|(cv, &s)| *cv += v * s),
+    // A plain allocation, not arena scratch: one more arena checkout per
+    // call makes the arena's high-water trim drop and re-allocate buffers
+    // far more often, which raised peak memory.
+    let mut panel = vec![[0i16; W]; a.k];
+    for j in cols.clone().step_by(W) {
+        let width = W.min(cols.end - j);
+        // Full blocks narrow fixed-width rows: one dynamic-width copy for
+        // both cases ran ~1.5× slower on 144-column layers (2-core x86-64
+        // Xeon).
+        if width == W {
+            for (dst, brow) in panel.iter_mut().zip(b.chunks_exact(n)) {
+                narrow_i16(dst, &brow[j..j + W]);
+            }
+        } else {
+            for (dst, brow) in panel.iter_mut().zip(b.chunks_exact(n)) {
+                *dst = [0; W];
+                narrow_i16(&mut dst[..width], &brow[j..]);
+            }
+        }
+        for r in 0..a.rows {
+            let crow = &mut c[r * n + j..r * n + j + width];
+            if let Ok(crow) = <&mut [i32; W]>::try_from(&mut *crow) {
+                add_row(a, r, &panel, crow);
+            } else {
+                let mut row = [0i32; W];
+                add_row(a, r, &panel, &mut row);
+                crow.iter_mut().zip(&row).for_each(|(cv, &s)| *cv += s);
             }
         }
     }
 }
 
-/// `Σ panel[kk]` over the selected `[W]` rows of a B panel: loads and
-/// adds only, the accumulator held in registers.
+/// `crow += A[r] · panel` for one block: every value group of row `r`,
+/// summed in i16 chunks of at most [`CHUNK`] entries, each widened once
+/// as it folds in.
 #[inline(always)]
-fn sum_rows<const W: usize>(panel: &[i32], kks: &[u16]) -> [i32; W] {
-    let mut acc = [0i32; W];
+fn add_row<const W: usize>(a: &PackedPanels, r: usize, panel: &[[i16; W]], crow: &mut [i32; W]) {
+    for (value, kks) in a.row(r) {
+        for chunk in kks.chunks(CHUNK) {
+            let acc = sum_rows(panel, chunk);
+            let lanes = crow.iter_mut().zip(acc);
+            match value {
+                1 => lanes.for_each(|(cv, s)| *cv += i32::from(s)),
+                -1 => lanes.for_each(|(cv, s)| *cv -= i32::from(s)),
+                v => lanes.for_each(|(cv, s)| *cv += v * i32::from(s)),
+            }
+        }
+    }
+}
+
+/// Saturating `i32 → i16` narrow of one B row segment (one pack
+/// instruction per vector).
+#[inline(always)]
+fn narrow_i16(dst: &mut [i16], src: &[i32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = s.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+    }
+}
+
+/// `Σ panel[kk]` over the selected rows of an i16 B panel: loads and adds
+/// only, the accumulator held in registers. At most [`CHUNK`] rows of
+/// entries in `[-128, 128]`, so the sum cannot wrap.
+///
+/// Kept out of line: inlined into the fold, the 8-lane loop was split
+/// into half-width vector and scalar adds on the x86-64 baseline, which
+/// made 8-wide blocks slower than the i32 kernel they replace.
+#[inline(never)]
+fn sum_rows<const W: usize>(panel: &[[i16; W]], kks: &[u16]) -> [i16; W] {
+    debug_assert!(kks.len() <= CHUNK);
+    let mut acc = [0i16; W];
     for &kk in kks {
-        let seg: &[i32; W] = panel[kk as usize * W..][..W].try_into().unwrap();
-        for (s, &bv) in acc.iter_mut().zip(seg) {
+        for (s, &bv) in acc.iter_mut().zip(&panel[kk as usize]) {
             *s += bv;
         }
     }
@@ -497,9 +560,11 @@ mod tests {
 
     /// Seeded differential test against the f32 GEMM: every weight value
     /// set the CIM schemes produce (1-bit cell slices, BWMA's `±1`, wider
-    /// cells, full i8), 1–9 rows, and widths `n` that hit every
-    /// column-block tail, on a C pre-filled with nonzero values so the
-    /// `C += A·B` contract is pinned.
+    /// cells, full i8), 1–9 rows, B over the whole contract range
+    /// `[-128, 128]`, and every width `n` from 1 to 80 plus 100, 144 and
+    /// 1024 — each mix of 64-, 32- and 8-wide blocks and every
+    /// zero-padded tail width — on a C pre-filled with nonzero values so
+    /// the `C += A·B` contract is pinned.
     #[test]
     fn igemm_matches_f32_gemm() {
         let value_sets: [&[i32]; 7] = [
@@ -514,7 +579,7 @@ mod tests {
         let mut rng = crate::CqRng::new(0x15);
         for values in value_sets {
             for rows in 1..=9usize {
-                for &n in &[1usize, 7, 8, 31, 32, 33, 64, 100, 1024] {
+                for n in (1..=80).chain([100, 144, 1024]) {
                     let k = 1 + rng.below(48);
                     let a: Vec<f32> = (0..rows * k)
                         .map(|_| match values {
@@ -522,7 +587,7 @@ mod tests {
                             vs => vs[rng.below(vs.len())] as f32,
                         })
                         .collect();
-                    let b: Vec<f32> = (0..k * n).map(|_| rng.below(256) as f32 - 128.0).collect();
+                    let b: Vec<f32> = (0..k * n).map(|_| rng.below(257) as f32 - 128.0).collect();
                     let c0: Vec<f32> = (0..rows * n)
                         .map(|_| rng.below(2001) as f32 - 1000.0)
                         .collect();
@@ -538,6 +603,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One value group longer than the 255-entry i16 chunk, at the B
+    /// extremes the contract allows (`-128`, `127`, `128`) and for the
+    /// weights `+1`, `-1` and `3`: a chunk of 256 would wrap at `128`.
+    /// `k = 1024` is checked against the f32 GEMM on widths that run
+    /// every block size and the padded tail; the `k = 2¹⁶` row, whose
+    /// sums leave f32's exact range, against the exact `k · w · b`.
+    #[test]
+    fn igemm_long_value_groups_stay_exact() {
+        for w in [1i32, -1, 3] {
+            for bv in [-128i32, 127, 128] {
+                let k = 1024;
+                let a = vec![w as f32; 2 * k];
+                let packed = PackedPanels::pack(2, k, &a).unwrap();
+                for n in [1usize, 9, 104] {
+                    let b = vec![bv; k * n];
+                    let mut want = vec![5.0f32; 2 * n];
+                    gemm_nn_acc(2, k, n, &a, &vec![bv as f32; k * n], &mut want);
+                    let mut got = vec![5i32; 2 * n];
+                    igemm_into(&packed, &b, n, &mut got);
+                    let got: Vec<f32> = got.iter().map(|&v| v as f32).collect();
+                    assert_eq!(got, want, "w={w} b={bv} k={k} n={n}");
+                }
+                let k = 1 << 16;
+                let packed = PackedPanels::pack(1, k, &vec![w as f32; k]).unwrap();
+                let n = 9;
+                let mut got = vec![-7i32; n];
+                igemm_into(&packed, &vec![bv; k * n], n, &mut got);
+                let want = -7 + k as i32 * w * bv;
+                assert_eq!(got, vec![want; n], "w={w} b={bv} k={k}");
+            }
+        }
+    }
+
+    /// The B-range contract is a debug assertion, like the epilogue's
+    /// 2²⁴ bound.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside [-128, 128]")]
+    fn igemm_asserts_the_b_range_in_debug_builds() {
+        let a = PackedPanels::pack(1, 1, &[1.0]).unwrap();
+        igemm_into(&a, &[129], 1, &mut [0]);
     }
 
     #[test]
