@@ -35,8 +35,10 @@ use std::ops::Range;
 
 /// One bit-split's grouped weights repacked for the integer kernel: one
 /// [`PackedPanels`] per row-tile group, holding the nonzero positions of
-/// that group's `[OC, c_pa·K·K]` slice grouped by weight value per output
-/// channel. Built once at freeze time by
+/// that group's `[OC, c_g·K·K]` slice grouped by weight value per output
+/// channel, where `c_g = channels_of_row_tile(g).len()` counts the tile's
+/// real channels: `c_pa` for every tile but a partial last one, whose
+/// zero-padding channels are left out. Built once at freeze time by
 /// [`PsumPipeline::split_grouped_weights_int`].
 #[derive(Debug, Clone)]
 pub struct IntGroupedWeights {
@@ -374,6 +376,12 @@ impl PsumPipeline {
     /// slices into per-row-tile value-grouped [`PackedPanels`] for
     /// [`PsumPipeline::grouped_psums_int_into`].
     ///
+    /// Row tile `g`'s panels cover only its real channels, so their `k`
+    /// is `channels_of_row_tile(g).len()·K·K`: a partial last tile drops
+    /// the rows of its zero-padding channels, whose weights are zero by
+    /// construction of [`PsumPipeline::group_weight_slice`] (debug builds
+    /// assert it), and the front-end then never im2cols them.
+    ///
     /// Returns `None` — the cue to stay on the f32 kernels — when any
     /// slice value is not an exact integer in i8 range (device variation),
     /// when a row tile spans more than 2¹⁶ crossbar rows (`c_pa·K·K`),
@@ -412,8 +420,21 @@ impl PsumPipeline {
                 );
                 let panels = (0..p.num_row_tiles)
                     .map(|g| {
-                        let rows = g * p.out_ch * cr..(g + 1) * p.out_ch * cr;
-                        let packed = PackedPanels::pack(p.out_ch, cr, &wg.data()[rows])?;
+                        // Only the tile's real channels: the padding
+                        // channels' weights are zero by construction.
+                        let k = p.channels_of_row_tile(g).len() * p.kh * p.kw;
+                        let rows = &wg.data()[g * p.out_ch * cr..(g + 1) * p.out_ch * cr];
+                        debug_assert!(
+                            rows.chunks_exact(cr)
+                                .all(|r| r[k..].iter().all(|&v| v == 0.0)),
+                            "padding-channel weights of row tile {g} are nonzero"
+                        );
+                        let live: Vec<f32> = rows
+                            .chunks_exact(cr)
+                            .flat_map(|r| &r[..k])
+                            .copied()
+                            .collect();
+                        let packed = PackedPanels::pack(p.out_ch, k, &live)?;
                         max_abs = max_abs.max(packed.max_abs());
                         Some(packed)
                     })
@@ -502,8 +523,10 @@ impl PsumPipeline {
     /// kernels, writing exact `i32→f32` conversions into `psums`.
     ///
     /// The im2col patch matrix is built **once per (image, row tile)** in
-    /// i8, widened once, and reused across every bit-split's GEMM — the
-    /// f32 path re-runs im2col per split — and work is parallelized
+    /// i8, over only the tile's real channels (the `k` of its packed
+    /// panels), widened once, and reused across every bit-split's GEMM —
+    /// the f32 path re-runs im2col per split, over the channel-padded
+    /// layout — and work is parallelized
     /// across `batch × row-tile` items like
     /// [`PsumPipeline::crossbar_psums`]. Output values are bit-identical
     /// to the f32 path (psums are exact integers inside f32's mantissa;
@@ -589,22 +612,15 @@ impl PsumPipeline {
                     let mut acc = arena::take_i32(p.out_ch * cc);
                     for item in group {
                         let img = &a.data()[item.bi * in_img..(item.bi + 1) * in_img];
-                        backend.im2col_i8(
-                            img,
-                            item.g * p.ch_per_array,
-                            p.ch_per_array,
-                            &s,
-                            &mut col,
-                        );
-                        backend.widen_i8_to_i32(&col, &mut b32);
+                        // Every split packs the same `k`: the tile's real
+                        // channels; its padding channels are never read.
+                        let k = int_weights[0].panels[tiles.start + item.g].k();
+                        let (col, b32) = (&mut col[..k * cc], &mut b32[..k * cc]);
+                        backend.im2col_i8(img, item.g * p.ch_per_array, k / (p.kh * p.kw), &s, col);
+                        backend.widen_i8_to_i32(col, b32);
                         for (iw, chunk) in int_weights.iter().zip(item.chunks.iter_mut()) {
                             acc.fill(0);
-                            backend.igemm_into(
-                                &iw.panels[tiles.start + item.g],
-                                &b32,
-                                cc,
-                                &mut acc,
-                            );
+                            backend.igemm_into(&iw.panels[tiles.start + item.g], b32, cc, &mut acc);
                             backend.accum_to_f32(&acc, chunk);
                         }
                     }
@@ -884,12 +900,18 @@ mod tests {
     use cq_tensor::{IntPanels, ScalarRef, SimdF32};
 
     fn small_pipeline() -> (PsumPipeline, Tensor) {
-        pipeline(&CimConfig::tiny(), 7, 5) // 32×32, 3 splits
+        pipeline(&CimConfig::tiny(), 7, 5, 3, 1) // 32×32, 3 splits
     }
 
-    /// A 3×3 pipeline under `cfg` with seeded 3-bit integer weights.
-    fn pipeline(cfg: &CimConfig, in_ch: usize, out_ch: usize) -> (PsumPipeline, Tensor) {
-        let k = 3;
+    /// A `k`×`k` pipeline at `stride` (padding `k / 2`) under `cfg` with
+    /// seeded 3-bit integer weights.
+    fn pipeline(
+        cfg: &CimConfig,
+        in_ch: usize,
+        out_ch: usize,
+        k: usize,
+        stride: usize,
+    ) -> (PsumPipeline, Tensor) {
         let plan = TilingPlan::new(cfg, in_ch, out_ch, k, k);
         let mut rng = CqRng::new(3);
         let w_int = rng
@@ -898,7 +920,15 @@ mod tests {
         let weight_scales: Vec<f32> = (0..plan.num_row_tiles * out_ch)
             .map(|i| 0.02 + 0.003 * i as f32)
             .collect();
-        let pipeline = PsumPipeline::new(plan, cfg.bit_split(), 1, 1, 0.05, weight_scales, None);
+        let pipeline = PsumPipeline::new(
+            plan,
+            cfg.bit_split(),
+            stride,
+            k / 2,
+            0.05,
+            weight_scales,
+            None,
+        );
         (pipeline, w_int)
     }
 
@@ -1034,7 +1064,7 @@ mod tests {
         // Every single row tile, fed only its own channel block, must equal
         // its block of the full result.
         let c_blk = p.ch_per_array * area;
-        let blk = p.out_ch * area;
+        let blk = p.out_ch * want[0].dim(2) * want[0].dim(3);
         let full_blk = p.num_row_tiles * blk;
         for g in 0..p.num_row_tiles {
             let mut a_tile = Tensor::zeros(&[batch, p.ch_per_array, hw, hw]);
@@ -1059,15 +1089,50 @@ mod tests {
     /// The scalar, f32 and integer backends agree bit-for-bit on the tiny
     /// test geometry and on the paper's (Table II CIFAR-10 column: 128×128
     /// arrays, 3b weights in 1b cells, 3b activations) ResNet-20 stage
-    /// shapes, the widest spanning ten row tiles.
+    /// shapes, the widest spanning ten row tiles — plus the stage
+    /// transitions, whose integer panels are trimmed: the stride-2 3×3
+    /// conv (last tile 2 of 14 channels) and the 1×1 stride-2 shortcut
+    /// (one tile, 16 of 128 channels).
     #[test]
     fn integer_psums_match_f32_path() {
         let (pl, w_int) = small_pipeline();
         assert_backends_agree(&pl, &w_int, 2, 6);
         let cfg = CimConfig::cifar10();
-        for (in_ch, out_ch, hw) in [(16, 16, 8), (64, 64, 8), (128, 128, 4)] {
-            let (pl, w_int) = pipeline(&cfg, in_ch, out_ch);
+        for (in_ch, out_ch, k, stride, hw) in [
+            (16, 16, 3, 1, 8),
+            (64, 64, 3, 1, 8),
+            (128, 128, 3, 1, 4),
+            (16, 32, 3, 2, 8),
+            (16, 32, 1, 2, 8),
+        ] {
+            let (pl, w_int) = pipeline(&cfg, in_ch, out_ch, k, stride);
             assert_backends_agree(&pl, &w_int, 2, hw);
+        }
+    }
+
+    /// Each row tile's packed panels cover only its real channels: `k` is
+    /// `channels_of_row_tile(g).len() · K²` in every split, so a partial
+    /// last tile drops its zero-padding rows and a full one keeps all.
+    #[test]
+    fn integer_panels_cover_only_real_channels() {
+        let cfg = CimConfig::cifar10(); // 14 channels per 3×3 tile
+        for (in_ch, want) in [
+            (16, vec![126, 18]),
+            (28, vec![126, 126]),
+            (128, [vec![126; 9], vec![18]].concat()),
+        ] {
+            let (pl, w_int) = pipeline(&cfg, in_ch, in_ch, 3, 1);
+            let p = pl.plan();
+            let sets = pl
+                .split_grouped_weights_int(&pl.split_grouped_weights(&w_int), 7.0)
+                .expect("3-bit slices are integer-eligible");
+            for iw in &sets {
+                let ks: Vec<usize> = iw.panels().iter().map(PackedPanels::k).collect();
+                assert_eq!(ks, want, "{in_ch} channels");
+                for (g, &k) in ks.iter().enumerate() {
+                    assert_eq!(k, p.channels_of_row_tile(g).len() * p.kh * p.kw);
+                }
+            }
         }
     }
 

@@ -553,6 +553,43 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `restore` refuses a corrupt checkpoint with `Err`: a declared
+    /// length of 2⁴⁰ or `usize::MAX` values (which must not be
+    /// allocated), and a saved checkpoint cut at every line boundary.
+    #[test]
+    fn restore_rejects_corrupt_checkpoints() {
+        let dir = std::env::temp_dir().join("cq_prepared_corrupt_ckpt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.cqnn");
+        save_cim_checkpoint(&mut warmed_net(15), &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut corrupt: Vec<String> = [1u64 << 40, usize::MAX as u64]
+            .iter()
+            .map(|len| format!("CQNN1\nx weight {len}\n00000000\n"))
+            .collect();
+        corrupt.push(String::new());
+        corrupt.extend(
+            text.match_indices('\n')
+                .map(|(i, _)| text[..=i].to_string())
+                .filter(|cut| cut.len() < text.len()),
+        );
+        for bad in &corrupt {
+            std::fs::write(&path, bad).unwrap();
+            let fresh = build_cim_resnet(
+                ResNetSpec::resnet8(4, 4),
+                &CimConfig::tiny(),
+                &QuantScheme::ours(),
+                999,
+            );
+            assert!(
+                PreparedCimModel::restore(Box::new(fresh), &path).is_err(),
+                "corrupt checkpoint of {} bytes restored",
+                bad.len()
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn into_inner_unfreezes() {
         let net = warmed_net(7);

@@ -78,16 +78,21 @@ pub fn deserialize_params(model: &mut dyn Layer, text: &str) -> Result<()> {
         let data_line = lines.next().ok_or_else(|| {
             Error::new(ErrorKind::UnexpectedEof, format!("missing data for {name}"))
         })?;
-        let mut values = Vec::with_capacity(len);
-        for word in data_line.split_whitespace() {
-            let bits = u32::from_str_radix(word, 16).map_err(|_| {
-                Error::new(
-                    ErrorKind::InvalidData,
-                    format!("bad hex word '{word}' in {name}"),
-                )
-            })?;
-            values.push(f32::from_bits(bits));
-        }
+        // Sized by the data actually present, never by the header's
+        // `len`: a corrupt length must not drive an allocation.
+        let values = data_line
+            .split_whitespace()
+            .map(|word| {
+                u32::from_str_radix(word, 16)
+                    .map(f32::from_bits)
+                    .map_err(|_| {
+                        Error::new(
+                            ErrorKind::InvalidData,
+                            format!("bad hex word '{word}' in {name}"),
+                        )
+                    })
+            })
+            .collect::<Result<Vec<f32>>>()?;
         if values.len() != len {
             return Err(Error::new(
                 ErrorKind::InvalidData,
@@ -246,6 +251,35 @@ mod tests {
             "error should name the kind mismatch, got: {msg}"
         );
         // The untampered checkpoint still restores.
+        deserialize_params(&mut a, &text).unwrap();
+    }
+
+    /// A header length far beyond the data — up to `usize::MAX` — must
+    /// come back as the length-mismatch error, not as an allocation of
+    /// that many values.
+    #[test]
+    fn rejects_huge_declared_lengths() {
+        let mut a = build(11);
+        for len in [1u64 << 40, usize::MAX as u64] {
+            let text = format!("{MAGIC}\nx weight {len}\n00000000\n");
+            let err = deserialize_params(&mut a, &text).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData);
+            assert!(err.to_string().contains("expected"), "len {len}: {err}");
+        }
+    }
+
+    /// A checkpoint cut at any line boundary short of its end is refused.
+    #[test]
+    fn rejects_checkpoints_cut_at_every_line() {
+        let mut a = build(12);
+        let text = serialize_params(&mut a);
+        let cuts = text.match_indices('\n').map(|(i, _)| i + 1);
+        for cut in std::iter::once(0).chain(cuts).filter(|&c| c < text.len()) {
+            assert!(
+                deserialize_params(&mut a, &text[..cut]).is_err(),
+                "checkpoint cut at byte {cut} was accepted"
+            );
+        }
         deserialize_params(&mut a, &text).unwrap();
     }
 

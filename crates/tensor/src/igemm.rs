@@ -15,7 +15,10 @@
 //!   before serving starts.
 //! * [`im2col_i8`] — the i8 twin of the f32 im2col used by
 //!   [`conv2d_grouped`](crate::conv2d_grouped), quartering patch-matrix
-//!   write traffic.
+//!   write traffic. It narrows each channel once into a zero-bordered i8
+//!   plane and copies every patch row out of it, and it reads only the
+//!   channels it is given, so a row tile's zero-padding channels (whose
+//!   packed weights were dropped at freeze) are never touched.
 //! * [`widen_i8_to_i32`] — widens an i8 activation matrix to the i32
 //!   operand the kernel takes (done once per image/group, shared by
 //!   every bit-split's GEMM).
@@ -186,53 +189,45 @@ fn bucket(v: i8) -> usize {
 /// exact integers in `[-128, 127]` (quantized activations are; debug
 /// builds assert it).
 ///
-/// Every patch row is a run of zeros, one in-bounds span, and zeros
-/// again. The span `[lo, hi)` of output columns depends only on the
-/// kernel column, so it is computed once per `kj`; the span is a
-/// branch-free narrowing loop, unit-stride (which vectorizes) or a
-/// strided gather.
+/// Each channel is narrowed **once** into a zero-bordered
+/// `(H+2·pad)×(W+2·pad)` i8 plane, so every input value is converted
+/// once instead of `kh·kw` times and the border needs no per-row fills.
+/// Every patch row `(c, ki, kj, oh)` is then one run of `out_w` plane
+/// bytes: a `copy_from_slice` at stride 1, a strided gather otherwise.
+/// Only the `c_len` channels asked for are read, so a caller can skip a
+/// row tile's zero-padding channels by passing just its real ones.
 pub fn im2col_i8(img: &[f32], c_start: usize, c_len: usize, s: &ConvShape, col: &mut [i8]) {
     let (h, w) = (s.in_h, s.in_w);
-    let ohw = s.out_h * s.out_w;
+    let (ow, wp) = (s.out_w, w + 2 * s.pad);
+    let ohw = s.out_h * ow;
     debug_assert_eq!(col.len(), c_len * s.kh * s.kw * ohw);
-    // In-bounds output columns of kernel column `kj`: the `ow` with
-    // `0 <= ow·stride + kj - pad < w`.
-    let span = |kj: usize| {
-        let lo = s.pad.saturating_sub(kj).div_ceil(s.stride).min(s.out_w);
-        let hi = (w + s.pad)
-            .saturating_sub(kj)
-            .div_ceil(s.stride)
-            .min(s.out_w);
-        (lo, hi.max(lo))
-    };
+    if ohw == 0 {
+        return;
+    }
+    // A plain allocation, not arena scratch (see `igemm_blocks`). Only
+    // the interior is rewritten per channel, so the border stays zero.
+    let mut plane = vec![0i8; (h + 2 * s.pad) * wp];
     let block = &img[c_start * h * w..(c_start + c_len) * h * w];
-    for (c_local, ch) in block.chunks_exact(h * w).enumerate() {
-        for ki in 0..s.kh {
-            for kj in 0..s.kw {
-                let (lo, hi) = span(kj);
-                let row = ((c_local * s.kh + ki) * s.kw + kj) * ohw;
-                for oh in 0..s.out_h {
-                    let ih = (oh * s.stride + ki) as isize - s.pad as isize;
-                    let dst = &mut col[row + oh * s.out_w..row + (oh + 1) * s.out_w];
-                    if ih < 0 || ih as usize >= h || lo == hi {
-                        dst.fill(0);
-                        continue;
-                    }
-                    let src_row = &ch[ih as usize * w..(ih as usize + 1) * w];
-                    // First in-bounds input column.
-                    let iw0 = lo * s.stride + kj - s.pad;
-                    dst[..lo].fill(0);
-                    dst[hi..].fill(0);
-                    let dst = &mut dst[lo..hi];
-                    if s.stride == 1 {
-                        for (d, &v) in dst.iter_mut().zip(&src_row[iw0..]) {
-                            *d = narrow_i8(v);
-                        }
-                    } else {
-                        let src = src_row[iw0..].iter().step_by(s.stride);
-                        for (d, &v) in dst.iter_mut().zip(src) {
-                            *d = narrow_i8(v);
-                        }
+    let rows_per_ch = s.kh * s.kw * ohw;
+    for (ch, rows) in block
+        .chunks_exact(h * w)
+        .zip(col.chunks_exact_mut(rows_per_ch))
+    {
+        let interior = plane[s.pad * wp..].chunks_exact_mut(wp);
+        for (dst, src) in interior.zip(ch.chunks_exact(w)) {
+            for (d, &v) in dst[s.pad..s.pad + w].iter_mut().zip(src) {
+                *d = narrow_i8(v);
+            }
+        }
+        for (r, row) in rows.chunks_exact_mut(ohw).enumerate() {
+            let (ki, kj) = (r / s.kw, r % s.kw);
+            for (oh, dst) in row.chunks_exact_mut(ow).enumerate() {
+                let src = &plane[(oh * s.stride + ki) * wp + kj..];
+                if s.stride == 1 {
+                    dst.copy_from_slice(&src[..ow]);
+                } else {
+                    for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s.stride)) {
+                        *d = v;
                     }
                 }
             }
@@ -659,52 +654,73 @@ mod tests {
 
     /// The full integer chain — im2col-i8, widen, panel igemm, f32
     /// epilogue — reproduces the f32 grouped convolution bit-for-bit on
-    /// integer data, including the geometries where im2col's in-bounds
-    /// column span is clipped, strided or empty.
+    /// integer data, including the geometries where a patch row is
+    /// clipped by padding, strided or all padding.
+    ///
+    /// Each case packs only the first `live` of its `c/group` channels,
+    /// the rest of whose weights are zero — a trimmed last row tile — and
+    /// im2cols just those channels. Calls run back to back on one `col`,
+    /// poisoned once per case, so every call must overwrite what the
+    /// previous one (another image or channel block) left there.
     #[test]
     fn integer_conv_chain_matches_f32_grouped_conv() {
-        // (batch, groups, c/group, oc/group, in_h, in_w, k, stride, pad)
-        for &(batch, groups, cg, ocg, in_h, in_w, kk, stride, pad) in &[
+        // (batch, groups, c/group, live, oc/group, in_h, in_w, k, stride, pad)
+        for &(batch, groups, cg, live, ocg, in_h, in_w, kk, stride, pad) in &[
             (
-                2usize, 3usize, 2usize, 4usize, 6usize, 6usize, 3usize, 1usize, 1usize,
+                2usize, 3usize, 2usize, 2usize, 4usize, 6usize, 6usize, 3usize, 1usize, 1usize,
             ),
-            (1, 1, 3, 5, 5, 5, 3, 2, 1),
-            (1, 2, 4, 2, 5, 5, 1, 1, 0),
+            (1, 1, 3, 3, 5, 5, 5, 3, 2, 1),
+            (1, 2, 4, 4, 2, 5, 5, 1, 1, 0),
             // 1×1 stride-2 pad-0: the ResNet shortcut, even and odd sizes.
-            (2, 1, 4, 3, 8, 8, 1, 2, 0),
-            (1, 2, 3, 2, 7, 7, 1, 2, 0),
+            (2, 1, 4, 4, 3, 8, 8, 1, 2, 0),
+            (1, 2, 3, 3, 2, 7, 7, 1, 2, 0),
             // Stride 2 with pad 1 on a non-square image.
-            (1, 2, 3, 4, 8, 7, 3, 2, 1),
+            (1, 2, 3, 3, 4, 8, 7, 3, 2, 1),
             // pad ≥ kw: border output columns see only padding ...
-            (1, 1, 2, 2, 3, 3, 2, 1, 3),
+            (1, 1, 2, 2, 2, 3, 3, 2, 1, 3),
             // ... and here the in-bounds input row 1 has an empty span.
-            (1, 1, 2, 3, 3, 1, 1, 3, 2),
+            (1, 1, 2, 2, 3, 3, 1, 1, 3, 2),
             // in_w < kw, at stride 1 and 2.
-            (1, 2, 2, 3, 5, 2, 3, 1, 1),
-            (1, 1, 2, 2, 6, 1, 3, 2, 1),
+            (1, 2, 2, 2, 3, 5, 2, 3, 1, 1),
+            (1, 1, 2, 2, 2, 6, 1, 3, 2, 1),
             // Four groups: im2col reads channel blocks at c_start = 3, 6, 9.
-            (2, 4, 3, 2, 5, 6, 3, 1, 1),
+            (2, 4, 3, 3, 2, 5, 6, 3, 1, 1),
+            // pad = 2, at stride 1 and 2.
+            (2, 2, 3, 3, 2, 6, 5, 3, 1, 2),
+            (1, 1, 2, 2, 3, 7, 7, 3, 2, 2),
+            // Trimmed tiles: c_len < c/group at c_start > 0, 3×3 stride 1
+            // and 2, and a 1×1 stride-2 shortcut.
+            (2, 3, 4, 2, 3, 6, 6, 3, 1, 1),
+            (2, 2, 5, 1, 2, 7, 6, 3, 2, 1),
+            (1, 2, 6, 4, 2, 8, 8, 1, 2, 0),
         ] {
             let c = groups * cg;
             let x = Tensor::from_vec(
                 int_filled(batch * c * in_h * in_w, 11, -8, 7),
                 &[batch, c, in_h, in_w],
             );
-            let w = Tensor::from_vec(
+            let mut w = Tensor::from_vec(
                 int_filled(groups * ocg * cg * kk * kk, 13, -4, 3),
                 &[groups * ocg, cg, kk, kk],
             );
+            let (cr, k) = (cg * kk * kk, live * kk * kk);
+            for row in w.data_mut().chunks_exact_mut(cr) {
+                row[k..].fill(0.0);
+            }
             let want = conv2d_grouped(&x, &w, stride, pad, groups);
             let s = ConvShape::new(x.shape(), w.shape(), stride, pad, groups);
-            let (cr, cc) = (s.col_rows(), s.col_cols());
-            let mut col = vec![0i8; cr * cc];
-            let mut b32 = vec![0i32; cr * cc];
+            let cc = s.col_cols();
+            let mut col = vec![99i8; k * cc]; // every entry must be overwritten
+            let mut b32 = vec![0i32; k * cc];
             let mut acc = vec![0i32; ocg * cc];
             let mut got = Tensor::zeros(&[batch, s.out_ch, s.out_h, s.out_w]);
-            let panels: Vec<PackedPanels> = (0..groups)
-                .map(|g| {
-                    PackedPanels::pack(ocg, cr, &w.data()[g * ocg * cr..(g + 1) * ocg * cr])
-                        .unwrap()
+            let panels: Vec<PackedPanels> = w
+                .data()
+                .chunks_exact(ocg * cr)
+                .map(|wg| {
+                    let rows: Vec<f32> =
+                        wg.chunks_exact(cr).flat_map(|r| &r[..k]).copied().collect();
+                    PackedPanels::pack(ocg, k, &rows).unwrap()
                 })
                 .collect();
             let in_img = c * in_h * in_w;
@@ -712,8 +728,7 @@ mod tests {
             for b in 0..batch {
                 let img = &x.data()[b * in_img..(b + 1) * in_img];
                 for (g, panel) in panels.iter().enumerate() {
-                    col.fill(99); // every entry must be overwritten
-                    im2col_i8(img, g * cg, cg, &s, &mut col);
+                    im2col_i8(img, g * cg, live, &s, &mut col);
                     widen_i8_to_i32(&col, &mut b32);
                     acc.fill(0);
                     igemm_into(panel, &b32, cc, &mut acc);
@@ -724,7 +739,8 @@ mod tests {
             }
             assert_eq!(
                 got, want,
-                "batch={batch} groups={groups} {in_h}×{in_w} k={kk} stride={stride} pad={pad}"
+                "batch={batch} groups={groups} live={live}/{cg} {in_h}×{in_w} k={kk} \
+                 stride={stride} pad={pad}"
             );
         }
     }
