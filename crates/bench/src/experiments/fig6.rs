@@ -34,20 +34,9 @@ pub fn run(scale: Scale) -> String {
         let mut psum_columns: Vec<Vec<f32>> = Vec::new();
         let mut idx = 0usize;
         let target = 3usize;
-        // First propagate the batch so the target layer sees its real
-        // input; easiest is to capture inside a forward via integer_psums
-        // on the layer's own input. We reconstruct the input by running
-        // the net layer-by-layer is intrusive; instead use the layer's
-        // psum snapshot on the batch propagated by a full forward pass
-        // (activation scales are frozen after training, so running
-        // integer_psums directly on the first conv input is exact for
-        // layer index 0; for deeper layers we capture via a probe).
+        // A full eval forward with psum capture set on the target layer
+        // records the psums of the input that really reaches it.
         let mut captured: Option<Vec<cq_tensor::Tensor>> = None;
-        // Probe: temporarily record psums by running integer_psums on the
-        // input that reaches the target layer. We get that input by
-        // asking each CimConv2d to snapshot during a manual walk — the
-        // simplest faithful approach is to run the full network forward
-        // while a capture flag is set on the target layer.
         for_each_cim_conv(&mut net, |c| {
             if idx == target {
                 c.set_psum_capture(true);

@@ -45,7 +45,8 @@ impl Adc {
 
     /// Digitizes one physical column's psums against its scale and
     /// accumulates the dequantized, merged-scale value into `out`:
-    /// `out[i] += (((convert(psums[i], scale) · scale) · sw) · shift) · gain`.
+    /// `out[i] += ((convert(psums[i], scale) · scale) · sw) · shift`,
+    /// multiplied left to right.
     ///
     /// The column-at-once form of [`Adc::convert`]: the scale check and
     /// the format branch run once per column, so the per-value loop is
@@ -55,41 +56,32 @@ impl Adc {
     /// # Panics
     ///
     /// Panics if `scale` is not positive.
-    pub fn convert_axpy(
-        &self,
-        psums: &[f32],
-        scale: f32,
-        sw: f32,
-        shift: f32,
-        gain: f32,
-        out: &mut [f32],
-    ) {
+    pub fn convert_axpy(&self, psums: &[f32], scale: f32, sw: f32, shift: f32, out: &mut [f32]) {
         assert_positive(scale);
         // One monomorphized loop per format, the code function inlined.
         if self.format.is_binary() {
-            axpy_codes(psums, scale, sw, shift, gain, out, sign_code);
+            axpy_codes(psums, scale, sw, shift, out, sign_code);
         } else {
             let (lo, hi) = (-self.format.qn(), self.format.qp());
-            axpy_codes(psums, scale, sw, shift, gain, out, |vs| {
+            axpy_codes(psums, scale, sw, shift, out, |vs| {
                 round_clamped(vs.clamp(lo, hi))
             });
         }
     }
 }
 
-/// `out[i] += (((code(psums[i] / scale) · scale) · sw) · shift) · gain`.
+/// `out[i] += ((code(psums[i] / scale) · scale) · sw) · shift`.
 #[inline(always)]
 fn axpy_codes(
     psums: &[f32],
     scale: f32,
     sw: f32,
     shift: f32,
-    gain: f32,
     out: &mut [f32],
     code: impl Fn(f32) -> f32,
 ) {
     for (yv, &pv) in out.iter_mut().zip(psums) {
-        *yv += (((code(pv / scale) * scale) * sw) * shift) * gain;
+        *yv += ((code(pv / scale) * scale) * sw) * shift;
     }
 }
 
@@ -107,24 +99,19 @@ fn sign_code(vs: f32) -> f32 {
     }
 }
 
-/// First-order energy/area model for SAR-style ADCs and the surrounding
-/// periphery. Constants are ISAAC-flavoured ballparks; the model feeds the
-/// cost *reports* only, never an accuracy result.
+/// First-order energy model for SAR-style ADCs. The constant is an
+/// ISAAC-flavoured ballpark; the model feeds the cost *reports* only,
+/// never an accuracy result.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdcCostModel {
     /// Energy per conversion of a 1-bit ADC, femtojoules. Energy scales as
     /// `2^bits`.
     pub energy_fj_1b: f64,
-    /// Area of a 1-bit ADC, µm². Area scales as `2^bits`.
-    pub area_um2_1b: f64,
 }
 
 impl Default for AdcCostModel {
     fn default() -> Self {
-        Self {
-            energy_fj_1b: 2.0,
-            area_um2_1b: 30.0,
-        }
+        Self { energy_fj_1b: 2.0 }
     }
 }
 
@@ -137,27 +124,12 @@ impl AdcCostModel {
     /// partial-sum format at 16 bits, so an out-of-range resolution is a
     /// caller bug; silently clamping would under-report the cost.
     pub fn energy_fj(&self, bits: u32) -> f64 {
-        assert_adc_bits(bits);
+        assert!(
+            (1..=16).contains(&bits),
+            "ADC resolution {bits}b outside the supported 1..=16 range"
+        );
         self.energy_fj_1b * f64::from(1u32 << bits) / 2.0
     }
-
-    /// Area of one ADC at the given resolution, µm².
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `1..=16` (see
-    /// [`AdcCostModel::energy_fj`]).
-    pub fn area_um2(&self, bits: u32) -> f64 {
-        assert_adc_bits(bits);
-        self.area_um2_1b * f64::from(1u32 << bits) / 2.0
-    }
-}
-
-fn assert_adc_bits(bits: u32) {
-    assert!(
-        (1..=16).contains(&bits),
-        "ADC resolution {bits}b outside the supported 1..=16 range"
-    );
 }
 
 #[cfg(test)]
@@ -209,7 +181,6 @@ mod tests {
         assert_eq!(m.energy_fj(1), 2.0);
         assert_eq!(m.energy_fj(2), 4.0);
         assert_eq!(m.energy_fj(8), 256.0);
-        assert!(m.area_um2(3) > m.area_um2(2));
     }
 
     #[test]
@@ -226,7 +197,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside the supported")]
-    fn zero_resolution_area_panics() {
-        let _ = AdcCostModel::default().area_um2(0);
+    fn zero_resolution_cost_panics() {
+        let _ = AdcCostModel::default().energy_fj(0);
     }
 }

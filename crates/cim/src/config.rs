@@ -12,19 +12,13 @@ pub struct CimConfig {
     pub array_cols: usize,
     /// Weight precision in bits (signed).
     pub weight_bits: u32,
-    /// Activation precision in bits (unsigned, post-ReLU).
+    /// Activation precision in bits (unsigned, post-ReLU). A multi-bit
+    /// DAC drives the whole activation onto the wordlines at once.
     pub act_bits: u32,
     /// Partial-sum / ADC precision in bits (signed; 1 = binary).
     pub psum_bits: u32,
     /// Bits stored per memory cell.
     pub cell_bits: u32,
-    /// Input DAC resolution in bits. Equal to `act_bits` means a multi-bit
-    /// DAC drives the full activation at once; smaller values imply
-    /// bit-serial input slicing.
-    pub dac_bits: u32,
-    /// Columns shared per ADC through the output multiplexer. Affects
-    /// throughput/energy reporting only, never accuracy.
-    pub adc_share: usize,
 }
 
 impl CimConfig {
@@ -38,8 +32,6 @@ impl CimConfig {
             act_bits: 3,
             psum_bits: 1,
             cell_bits: 1,
-            dac_bits: 3,
-            adc_share: 8,
         }
     }
 
@@ -53,8 +45,6 @@ impl CimConfig {
             act_bits: 4,
             psum_bits: 3,
             cell_bits: 2,
-            dac_bits: 4,
-            adc_share: 8,
         }
     }
 
@@ -68,8 +58,6 @@ impl CimConfig {
             act_bits: 3,
             psum_bits: 2,
             cell_bits: 3,
-            dac_bits: 3,
-            adc_share: 8,
         }
     }
 
@@ -82,8 +70,6 @@ impl CimConfig {
             act_bits: 3,
             psum_bits: 3,
             cell_bits: 1,
-            dac_bits: 3,
-            adc_share: 4,
         }
     }
 
@@ -106,13 +92,6 @@ impl CimConfig {
             self.cell_bits,
             self.weight_bits
         );
-        assert!(
-            self.dac_bits >= 1 && self.dac_bits <= self.act_bits,
-            "dac bits {} vs act bits {}",
-            self.dac_bits,
-            self.act_bits
-        );
-        assert!(self.adc_share >= 1, "adc share");
     }
 
     /// The bit-split geometry implied by weight and cell precision.
@@ -139,12 +118,6 @@ impl CimConfig {
     /// Partial-sum / ADC format (signed; 1 bit means binary ±1).
     pub fn psum_format(&self) -> QuantFormat {
         QuantFormat::signed(self.psum_bits)
-    }
-
-    /// Whether inputs are applied bit-serially (DAC narrower than the
-    /// activation precision).
-    pub fn bit_serial_input(&self) -> bool {
-        self.dac_bits < self.act_bits
     }
 }
 
@@ -203,6 +176,5 @@ mod tests {
         assert_eq!(c.weight_format().qp(), 7.0);
         assert_eq!(c.act_format().qp(), 15.0);
         assert_eq!(c.psum_format().qn(), 4.0);
-        assert!(!c.bit_serial_input());
     }
 }

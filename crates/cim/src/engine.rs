@@ -118,23 +118,6 @@ impl QuantizedConv {
         )
     }
 
-    /// Computes this description's backend capability profile — what a
-    /// `backend.supports(&desc.profile())` probe consumes. This runs the
-    /// real freeze-time front-end (grouping every bit-split slice and
-    /// attempting the integer repack), so it can never drift from the
-    /// kernels' own eligibility rules; it is correspondingly not cheap.
-    /// Frozen layers cache the result (`PreparedConv::profile`).
-    pub fn profile(&self) -> cq_tensor::ConvProfile {
-        let pipeline = self.pipeline();
-        let grouped = pipeline.split_grouped_weights(&self.w_int);
-        let act_max_abs = self.act_format.qn().abs().max(self.act_format.qp());
-        cq_tensor::ConvProfile {
-            integer_eligible: pipeline
-                .split_grouped_weights_int(&grouped, act_max_abs)
-                .is_some(),
-        }
-    }
-
     /// Weight scale of logical column (row tile `g`, output channel `oc`).
     #[inline]
     pub fn weight_scale(&self, g: usize, oc: usize) -> f32 {
@@ -252,73 +235,6 @@ impl CrossbarLayer {
         } else {
             self.pipeline.reduce(&psums, &IdealDigitizer)
         }
-    }
-}
-
-impl CrossbarLayer {
-    /// Bit-serial input execution: activations are driven `dac_bits` at a
-    /// time (LSB first), every input slice's column current is digitized
-    /// separately, and the slice results are shift-and-added digitally —
-    /// the narrow-DAC operating mode of bit-scalable CIM macros
-    /// (paper Fig. 2(b)).
-    ///
-    /// Each input slice `j` is converted against a reference scaled to its
-    /// significance, `s_p / 2^(db·(n_j−1−j))`, so the most significant
-    /// slice sees the column's trained full-scale reference.
-    ///
-    /// With `dac_bits ≥` the activation precision this reduces to exactly
-    /// [`CrossbarLayer::forward`] (single slice); with the ADC bypassed it
-    /// is exact for any `dac_bits` (shift-and-add reconstruction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dac_bits == 0`, any activation is negative/non-integral,
-    /// or the input shape mismatches the plan.
-    pub fn forward_bit_serial(&self, a_int: &Tensor, dac_bits: u32, act_bits: u32) -> Tensor {
-        assert!(dac_bits >= 1, "dac_bits must be positive");
-        assert!(
-            act_bits >= dac_bits,
-            "act_bits {act_bits} < dac_bits {dac_bits}"
-        );
-        let num_in_slices = act_bits.div_ceil(dac_bits) as usize;
-        let p = &self.desc.plan;
-        for &a in a_int.data() {
-            assert!(
-                a >= 0.0 && a == a.round(),
-                "bit-serial input must be non-negative integers, got {a}"
-            );
-        }
-
-        let mut acc: Option<Tensor> = None;
-        for j in 0..num_in_slices {
-            // Drive each array with input slice `j` (LSB first).
-            let sh = dac_bits as usize * j;
-            let mask = (1u64 << dac_bits) - 1;
-            let line_map = move |a: f32| ((a as u64 >> sh) & mask) as f32;
-            let psums = self
-                .pipeline
-                .crossbar_psums_with(&self.arrays, a_int, &line_map);
-            let acc = acc.get_or_insert_with(|| {
-                Tensor::zeros(&[psums[0].dim(0), p.out_ch, psums[0].dim(2), psums[0].dim(3)])
-            });
-            let in_shift = (1u64 << sh) as f32;
-            if self.desc.psum_quant {
-                // Reference scaling: the MSB slice uses the trained sp.
-                let ref_div = (1u64 << (dac_bits as usize * (num_in_slices - 1 - j))) as f32;
-                let scales: Vec<f32> = self.desc.psum_scales.iter().map(|s| s / ref_div).collect();
-                let dig = AdcDigitizer::new(self.adc, &scales, p);
-                if self.desc.digital_splits > 0 {
-                    let dig = HybridDigitizer::new(dig, self.desc.digital_splits);
-                    self.pipeline.accumulate(&psums, &dig, in_shift, acc);
-                } else {
-                    self.pipeline.accumulate(&psums, &dig, in_shift, acc);
-                }
-            } else {
-                self.pipeline
-                    .accumulate(&psums, &IdealDigitizer, in_shift, acc);
-            }
-        }
-        self.pipeline.finish(acc.expect("at least one input slice"))
     }
 }
 
@@ -463,55 +379,6 @@ mod tests {
             "larger sigma should deviate more: {devs:?}"
         );
         assert!(devs[0] > 0.0);
-    }
-
-    /// With the ADC bypassed, bit-serial input execution must reconstruct
-    /// the multi-bit result exactly for every DAC width.
-    #[test]
-    fn bit_serial_exact_without_adc() {
-        let desc = small_desc(false);
-        let layer = CrossbarLayer::new(desc);
-        let mut rng = CqRng::new(17);
-        let a_int = rng.uniform_tensor(&[1, 7, 5, 5], 0.0, 8.0).map(f32::floor);
-        let full = layer.forward(&a_int);
-        for dac_bits in 1..=3u32 {
-            let bs = layer.forward_bit_serial(&a_int, dac_bits, 3);
-            assert!(
-                bs.allclose(&full, 1e-4),
-                "dac_bits={dac_bits}: max diff {}",
-                bs.max_abs_diff(&full)
-            );
-        }
-    }
-
-    /// With a full-width DAC (single input slice), bit-serial equals the
-    /// plain path bit for bit, ADC included.
-    #[test]
-    fn bit_serial_full_width_matches_plain_path() {
-        let desc = small_desc(true);
-        let layer = CrossbarLayer::new(desc);
-        let mut rng = CqRng::new(19);
-        let a_int = rng.uniform_tensor(&[1, 7, 5, 5], 0.0, 8.0).map(f32::floor);
-        let plain = layer.forward(&a_int);
-        let serial = layer.forward_bit_serial(&a_int, 3, 3);
-        assert_eq!(plain, serial);
-    }
-
-    /// Narrow-DAC execution with live ADCs quantizes each input slice
-    /// separately — output differs from the wide-DAC path but remains
-    /// strongly correlated.
-    #[test]
-    fn bit_serial_with_adc_stays_correlated() {
-        let desc = small_desc(true);
-        let layer = CrossbarLayer::new(desc);
-        let mut rng = CqRng::new(23);
-        let a_int = rng.uniform_tensor(&[1, 7, 5, 5], 0.0, 8.0).map(f32::floor);
-        let wide = layer.forward(&a_int);
-        let serial = layer.forward_bit_serial(&a_int, 1, 3);
-        assert_ne!(wide, serial);
-        let cos =
-            wide.mul(&serial).sum() / (wide.sq_sum().sqrt() * serial.sq_sum().sqrt()).max(1e-9);
-        assert!(cos > 0.6, "bit-serial output decorrelated: {cos}");
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //!   bit-identical where applicable.
 //! * [`dequant_mults`] / [`overhead_class`] — the dequantization-overhead
 //!   model behind the paper's Fig. 8.
-//! * [`apply_lognormal`] — the Eq. (5) memory-cell variation model.
+//! * [`Crossbar::apply_variation`] — the Eq. (5) memory-cell variation
+//!   model (the fast and frozen paths bake the same model into their
+//!   weight slices through `cq_core::VariationCfg`), swept over
+//!   [`FIG10_SIGMAS`].
 //!
 //! ## Example
 //!
@@ -61,11 +64,10 @@ pub use cq_tensor::{
 };
 pub use crossbar::Crossbar;
 pub use engine::{CrossbarLayer, QuantizedConv};
-pub use overhead::{dequant_mults, overhead_class, stored_scale_factors, OverheadClass};
+pub use overhead::{dequant_mults, overhead_class, OverheadClass};
 pub use pipeline::{
-    AdcDigitizer, ColumnDigitizer, HybridDigitizer, IdealDigitizer, IntGroupedWeights,
-    PerturbedDigitizer, PsumPipeline,
+    AdcDigitizer, ColumnDigitizer, HybridDigitizer, IdealDigitizer, IntGroupedWeights, PsumPipeline,
 };
 pub use prepared::PreparedConv;
 pub use tiling::TilingPlan;
-pub use variation::{apply_lognormal, apply_lognormal_in_place, FIG10_SIGMAS};
+pub use variation::FIG10_SIGMAS;

@@ -58,13 +58,6 @@ pub fn overhead_class(w_gran: Granularity, p_gran: Granularity) -> OverheadClass
     }
 }
 
-/// Number of scale factors that must be **stored** for a layer (different
-/// from the multiplication count: merged `s_w · s_p` products are stored
-/// per application point).
-pub fn stored_scale_factors(plan: &TilingPlan, w_gran: Granularity, p_gran: Granularity) -> usize {
-    dequant_mults(plan, w_gran, p_gran)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,8 +28,8 @@
 use crate::{Adc, Crossbar, TilingPlan};
 use cq_quant::BitSplit;
 use cq_tensor::{
-    arena, conv2d_grouped, conv_out_dim, exec, threads_for, ConvShape, CqRng, ExecBackend,
-    PackedPanels, Tensor,
+    arena, conv2d_grouped, conv_out_dim, exec, threads_for, ConvShape, ExecBackend, PackedPanels,
+    Tensor,
 };
 use std::ops::Range;
 
@@ -64,8 +64,8 @@ pub trait ColumnDigitizer: Sync {
     fn digitize(&self, analog: f32, split: usize, row_tile: usize, oc: usize) -> f32;
 
     /// Digitizes one physical column's contiguous psum block and
-    /// accumulates `((digitize(p) · sw) · shift) · gain` into `out` —
-    /// the shift-and-add hot loop of [`PsumPipeline::accumulate`].
+    /// accumulates `(digitize(p) · sw) · shift` into `out` — the
+    /// shift-and-add hot loop of [`PsumPipeline::reduce`].
     ///
     /// The provided body forwards to
     /// [`digitize`](ColumnDigitizer::digitize) per value, but it is
@@ -73,9 +73,9 @@ pub trait ColumnDigitizer: Sync {
     /// dispatch happens once per **column**, not once per value. The loop
     /// vectorizes only if `digitize` is straight-line, so [`AdcDigitizer`]
     /// overrides it to hoist its per-column work. Overrides must keep the
-    /// exact multiply order (digitize, `· sw`, `· shift`, `· gain`) —
+    /// exact multiply order (digitize, then `· sw`, then `· shift`) —
     /// outputs are pinned bit-exact across every execution path.
-    #[allow(clippy::too_many_arguments)] // mirrors `digitize`'s column coordinates plus the three merged scales
+    #[allow(clippy::too_many_arguments)] // mirrors `digitize`'s column coordinates plus the two merged scales
     fn digitize_axpy(
         &self,
         psums: &[f32],
@@ -84,11 +84,10 @@ pub trait ColumnDigitizer: Sync {
         oc: usize,
         sw: f32,
         shift: f32,
-        gain: f32,
         out: &mut [f32],
     ) {
         for (yv, &pv) in out.iter_mut().zip(psums) {
-            *yv += ((self.digitize(pv, split, row_tile, oc) * sw) * shift) * gain;
+            *yv += (self.digitize(pv, split, row_tile, oc) * sw) * shift;
         }
     }
 }
@@ -166,49 +165,10 @@ impl ColumnDigitizer for AdcDigitizer<'_> {
         oc: usize,
         sw: f32,
         shift: f32,
-        gain: f32,
         out: &mut [f32],
     ) {
         let sp = self.scale(split, row_tile, oc);
-        self.adc.convert_axpy(psums, sp, sw, shift, gain, out);
-    }
-}
-
-/// Wraps another digitizer with deterministic per-physical-column
-/// log-normal read variation: the analog current is multiplied by
-/// `e^θ`, `θ ~ N(0, σ)`, before conversion — modelling column-level
-/// reference/sense drift (as opposed to the per-cell programming
-/// variation of [`Crossbar::apply_variation`]).
-#[derive(Debug, Clone)]
-pub struct PerturbedDigitizer<D> {
-    inner: D,
-    factors: Vec<f32>,
-    num_row_tiles: usize,
-    out_ch: usize,
-}
-
-impl<D: ColumnDigitizer> PerturbedDigitizer<D> {
-    /// Draws one factor per physical column from `seed`. `sigma == 0`
-    /// makes this an exact pass-through to `inner`.
-    pub fn new(inner: D, plan: &TilingPlan, sigma: f32, seed: u64) -> Self {
-        assert!(sigma >= 0.0, "negative sigma");
-        let n = plan.num_splits * plan.num_row_tiles * plan.out_ch;
-        let mut rng = CqRng::new(seed);
-        let factors = (0..n).map(|_| rng.lognormal_factor(sigma)).collect();
-        Self {
-            inner,
-            factors,
-            num_row_tiles: plan.num_row_tiles,
-            out_ch: plan.out_ch,
-        }
-    }
-}
-
-impl<D: ColumnDigitizer> ColumnDigitizer for PerturbedDigitizer<D> {
-    #[inline]
-    fn digitize(&self, analog: f32, split: usize, row_tile: usize, oc: usize) -> f32 {
-        let f = self.factors[(split * self.num_row_tiles + row_tile) * self.out_ch + oc];
-        self.inner.digitize(analog * f, split, row_tile, oc)
+        self.adc.convert_axpy(psums, sp, sw, shift, out);
     }
 }
 
@@ -260,18 +220,17 @@ impl<D: ColumnDigitizer> ColumnDigitizer for HybridDigitizer<D> {
         oc: usize,
         sw: f32,
         shift: f32,
-        gain: f32,
         out: &mut [f32],
     ) {
         // A whole column belongs to one split, so the branch is taken once
         // per column; both legs keep the pinned multiply order.
         if split < self.digital_splits {
             for (yv, &pv) in out.iter_mut().zip(psums) {
-                *yv += ((pv * sw) * shift) * gain;
+                *yv += (pv * sw) * shift;
             }
         } else {
             self.inner
-                .digitize_axpy(psums, split, row_tile, oc, sw, shift, gain, out);
+                .digitize_axpy(psums, split, row_tile, oc, sw, shift, out);
         }
     }
 }
@@ -644,19 +603,6 @@ impl PsumPipeline {
     ///
     /// Panics if the input shape or array count mismatches the plan.
     pub fn crossbar_psums(&self, arrays: &[Crossbar], a_int: &Tensor) -> Vec<Tensor> {
-        self.crossbar_psums_with(arrays, a_int, &|a| a)
-    }
-
-    /// Like [`PsumPipeline::crossbar_psums`] with a wordline transform:
-    /// every activation is mapped through `line_map` before driving the
-    /// arrays (bit-serial input execution drives one DAC-width slice of
-    /// the activation at a time).
-    pub fn crossbar_psums_with(
-        &self,
-        arrays: &[Crossbar],
-        a_int: &Tensor,
-        line_map: &(dyn Fn(f32) -> f32 + Sync),
-    ) -> Vec<Tensor> {
         let p = &self.plan;
         assert_eq!(a_int.rank(), 4, "input must be [B,C,H,W]");
         assert_eq!(a_int.dim(1), p.in_ch, "input channels vs plan");
@@ -709,7 +655,6 @@ impl PsumPipeline {
                             self.drive_row_tile(
                                 arrays,
                                 a_int,
-                                line_map,
                                 item.bi,
                                 item.g,
                                 oh,
@@ -734,7 +679,6 @@ impl PsumPipeline {
         &self,
         arrays: &[Crossbar],
         a_int: &Tensor,
-        line_map: &(dyn Fn(f32) -> f32 + Sync),
         bi: usize,
         g: usize,
         oh: usize,
@@ -760,8 +704,8 @@ impl PsumPipeline {
                             if ih < 0 || iw < 0 || ih as usize >= h || iw as usize >= w {
                                 continue;
                             }
-                            let a = a_int.data()[a_int.idx4(bi, cin, ih as usize, iw as usize)];
-                            patch[c_local * kk + ki * p.kw + kj] = line_map(a);
+                            patch[c_local * kk + ki * p.kw + kj] =
+                                a_int.data()[a_int.idx4(bi, cin, ih as usize, iw as usize)];
                         }
                     }
                 }
@@ -785,21 +729,6 @@ impl PsumPipeline {
     /// tiles with the merged `s_w · s_p` dequantization, applies the
     /// activation scale and bias, and returns the output `[B, OC, OH, OW]`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `psums` disagrees with the plan.
-    pub fn reduce(&self, psums: &[Tensor], digitizer: &dyn ColumnDigitizer) -> Tensor {
-        let (batch, oh, ow) = (psums[0].dim(0), psums[0].dim(2), psums[0].dim(3));
-        let mut acc = Tensor::zeros(&[batch, self.plan.out_ch, oh, ow]);
-        self.accumulate(psums, digitizer, 1.0, &mut acc);
-        self.finish(acc)
-    }
-
-    /// Accumulates `gain · Σ_{s,g} digitize(p[s,g,oc]) · s_w · 2^(cb·s)`
-    /// into `out` (no activation scale or bias — see
-    /// [`PsumPipeline::finish`]). `gain` is 1 for plain execution and the
-    /// input-slice shift for bit-serial execution.
-    ///
     /// Per output element the f32 accumulation order is fixed — split
     /// outer, row tile inner — regardless of thread count: work splits
     /// across batch elements only, so results are deterministic and the
@@ -807,14 +736,8 @@ impl PsumPipeline {
     ///
     /// # Panics
     ///
-    /// Panics if shapes disagree with the plan.
-    pub fn accumulate(
-        &self,
-        psums: &[Tensor],
-        digitizer: &dyn ColumnDigitizer,
-        gain: f32,
-        out: &mut Tensor,
-    ) {
+    /// Panics if `psums` disagrees with the plan.
+    pub fn reduce(&self, psums: &[Tensor], digitizer: &dyn ColumnDigitizer) -> Tensor {
         let p = &self.plan;
         assert_eq!(psums.len(), p.num_splits, "one psum tensor per split");
         let (batch, oh, ow) = (psums[0].dim(0), psums[0].dim(2), psums[0].dim(3));
@@ -822,29 +745,25 @@ impl PsumPipeline {
         for ps in psums {
             assert_eq!(ps.shape(), &[batch, gch, oh, ow], "psum shape vs plan");
         }
-        assert_eq!(
-            out.shape(),
-            &[batch, p.out_ch, oh, ow],
-            "output shape vs plan"
-        );
+        let mut out = Tensor::zeros(&[batch, p.out_ch, oh, ow]);
         let inner = oh * ow;
         let block = p.out_ch * inner;
-        if batch == 0 || inner == 0 {
-            return; // nothing to accumulate
+        if batch > 0 && inner > 0 {
+            let work = batch * p.num_splits * gch * inner;
+            let nt = threads_for(work).min(batch).max(1);
+            let per = batch.div_ceil(nt);
+            exec::scope(|sc| {
+                for (chunk_i, out_chunk) in out.data_mut().chunks_mut(per * block).enumerate() {
+                    sc.spawn(move || {
+                        let b0 = chunk_i * per;
+                        for (bl, ob) in out_chunk.chunks_mut(block).enumerate() {
+                            self.accumulate_one(psums, digitizer, b0 + bl, inner, ob);
+                        }
+                    });
+                }
+            });
         }
-        let work = batch * p.num_splits * gch * inner;
-        let nt = threads_for(work).min(batch).max(1);
-        let per = batch.div_ceil(nt);
-        exec::scope(|sc| {
-            for (chunk_i, out_chunk) in out.data_mut().chunks_mut(per * block).enumerate() {
-                sc.spawn(move || {
-                    let b0 = chunk_i * per;
-                    for (bl, ob) in out_chunk.chunks_mut(block).enumerate() {
-                        self.accumulate_one(psums, digitizer, gain, b0 + bl, inner, ob);
-                    }
-                });
-            }
-        });
+        self.finish(out)
     }
 
     /// Shift-and-add for one batch element into its `[OC, inner]` block.
@@ -852,7 +771,6 @@ impl PsumPipeline {
         &self,
         psums: &[Tensor],
         digitizer: &dyn ColumnDigitizer,
-        gain: f32,
         bi: usize,
         inner: usize,
         out: &mut [f32],
@@ -866,7 +784,7 @@ impl PsumPipeline {
                     let src = ((bi * p.num_row_tiles + g) * p.out_ch + oc) * inner;
                     let pd = &ps.data()[src..src + inner];
                     let ob = &mut out[oc * inner..(oc + 1) * inner];
-                    digitizer.digitize_axpy(pd, s, g, oc, sw, shift, gain, ob);
+                    digitizer.digitize_axpy(pd, s, g, oc, sw, shift, ob);
                 }
             }
         }
@@ -874,7 +792,7 @@ impl PsumPipeline {
 
     /// Applies the layer-wise activation scale and the bias to an
     /// accumulated output — the last step of Eq. (3).
-    pub fn finish(&self, mut acc: Tensor) -> Tensor {
+    fn finish(&self, mut acc: Tensor) -> Tensor {
         acc.scale_in_place(self.act_scale);
         if let Some(bias) = &self.bias {
             let (batch, oc) = (acc.dim(0), acc.dim(1));
@@ -897,7 +815,7 @@ mod tests {
     use super::*;
     use crate::CimConfig;
     use cq_quant::QuantFormat;
-    use cq_tensor::{IntPanels, ScalarRef, SimdF32};
+    use cq_tensor::{CqRng, IntPanels, ScalarRef, SimdF32};
 
     fn small_pipeline() -> (PsumPipeline, Tensor) {
         pipeline(&CimConfig::tiny(), 7, 5, 3, 1) // 32×32, 3 splits
@@ -1209,38 +1127,6 @@ mod tests {
         );
     }
 
-    /// Zero-sigma perturbation is an exact pass-through; nonzero sigma
-    /// perturbs the output deterministically.
-    #[test]
-    fn perturbed_digitizer_behaviour() {
-        let (pl, w_int) = small_pipeline();
-        let p = pl.plan().clone();
-        let mut rng = CqRng::new(11);
-        let a_int = rng
-            .uniform_tensor(&[1, p.in_ch, 5, 5], 0.0, 8.0)
-            .map(f32::floor);
-        let mut a_pad = Tensor::zeros(&[1, p.padded_in_ch, 5, 5]);
-        a_pad.data_mut()[..p.in_ch * 25].copy_from_slice(a_int.data());
-        let psums = pl.grouped_psums(&a_pad, &pl.split_grouped_weights(&w_int));
-
-        let clean = pl.reduce(&psums, &IdealDigitizer);
-        let zero = pl.reduce(
-            &psums,
-            &PerturbedDigitizer::new(IdealDigitizer, &p, 0.0, 42),
-        );
-        assert_eq!(clean, zero, "sigma 0 must be exact");
-        let noisy1 = pl.reduce(
-            &psums,
-            &PerturbedDigitizer::new(IdealDigitizer, &p, 0.2, 42),
-        );
-        let noisy2 = pl.reduce(
-            &psums,
-            &PerturbedDigitizer::new(IdealDigitizer, &p, 0.2, 42),
-        );
-        assert_ne!(clean, noisy1, "sigma > 0 must perturb");
-        assert_eq!(noisy1, noisy2, "same seed, same perturbation");
-    }
-
     /// Hybrid digitization: `digital_splits == 0` is bit-exact the wrapped
     /// ADC; `digital_splits == num_splits` is bit-exact the ideal bypass;
     /// anything in between converts only the high-order splits.
@@ -1298,7 +1184,7 @@ mod tests {
 
     /// Psums that stress the converter: signed zeros, exact grid ties
     /// `k·s_p + s_p/2`, values far outside the range, and off-integer
-    /// values like a [`PerturbedDigitizer`] feeds its inner ADC.
+    /// values like device variation produces.
     fn adversarial_psums(sp: f32, rng: &mut CqRng) -> Vec<f32> {
         let mut v = vec![0.0, -0.0, 1e6, -1e6, 3.0e4 * sp, -3.0e4 * sp];
         for k in -20..20 {
@@ -1346,9 +1232,8 @@ mod tests {
                             let init: Vec<f32> =
                                 (0..psums.len()).map(|i| 0.1 * i as f32 - 3.0).collect();
                             let (mut got, mut want) = (init.clone(), init);
-                            fast.digitize_axpy(&psums, split, g, oc, 0.013, 4.0, 0.3, &mut got);
-                            reference
-                                .digitize_axpy(&psums, split, g, oc, 0.013, 4.0, 0.3, &mut want);
+                            fast.digitize_axpy(&psums, split, g, oc, 0.013, 4.0, &mut got);
+                            reference.digitize_axpy(&psums, split, g, oc, 0.013, 4.0, &mut want);
                             let bits =
                                 |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                             assert_eq!(
@@ -1374,7 +1259,7 @@ mod tests {
         scales[1] = 0.0;
         let dig = AdcDigitizer::new(Adc::new(QuantFormat::signed(3)), &scales, &p);
         let mut out = vec![0.0f32; 4];
-        dig.digitize_axpy(&[1.0, 2.0, 3.0, 4.0], 0, 0, 1, 1.0, 1.0, 1.0, &mut out);
+        dig.digitize_axpy(&[1.0, 2.0, 3.0, 4.0], 0, 0, 1, 1.0, 1.0, &mut out);
     }
 
     /// Bias and activation scale are applied exactly once, in the engine's

@@ -196,27 +196,10 @@ impl PreparedConv {
         let mut a_int = arena::take_tensor(x.shape());
         self.a_quant
             .forward_int_into(x, &GroupLayout::single(), &mut a_int);
-        let y = self.run(&a_int);
-        arena::put_tensor(a_int);
-        y
-    }
-
-    /// Serves one batch of already-quantized integer activations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input shape mismatches the plan.
-    pub fn infer_quantized(&self, a_int: &Tensor) -> Tensor {
-        self.run(a_int)
-    }
-
-    /// The shared serving body: pad channels, sweep the grouped conv on
-    /// the resolved backend, digitize and reduce.
-    fn run(&self, a_int: &Tensor) -> Tensor {
         let p = &self.desc.plan;
         let (b, h, w) = (a_int.dim(0), a_int.dim(2), a_int.dim(3));
         let mut a_pad = arena::take_tensor(&[b, p.padded_in_ch, h, w]);
-        self.desc.plan.pad_channels_into(a_int, &mut a_pad);
+        p.pad_channels_into(&a_int, &mut a_pad);
         let oh = conv_out_dim(h, p.kh, self.desc.stride, self.desc.pad);
         let ow = conv_out_dim(w, p.kw, self.desc.stride, self.desc.pad);
         let shape = [b, p.num_row_tiles * p.out_ch, oh, ow];
@@ -269,6 +252,7 @@ impl PreparedConv {
             arena::put_tensor(ps);
         }
         arena::put_tensor(a_pad);
+        arena::put_tensor(a_int);
         y
     }
 }

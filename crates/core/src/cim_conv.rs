@@ -563,20 +563,6 @@ impl CimConv2d {
         slice
     }
 
-    /// Computes the integer partial sums of every split for input `x`
-    /// (paper Fig. 6 analysis). No state is cached or mutated besides lazy
-    /// scale initialization.
-    pub fn integer_psums(&mut self, x: &Tensor) -> Vec<Tensor> {
-        if !self.a_quant.is_initialized() {
-            self.a_quant.init_from(x, &GroupLayout::single());
-        }
-        let a_int = self.a_quant.forward_int(x, &GroupLayout::single());
-        let a_pad = self.pad_channels(&a_int);
-        let w_int = self.w_quant.forward_int(&self.weight.value, &self.w_layout);
-        let pipeline = self.pipeline();
-        pipeline.grouped_psums(&a_pad, &pipeline.split_grouped_weights(&w_int))
-    }
-
     /// Exports the layer as a dense [`QuantizedConv`] description for the
     /// explicit crossbar engine.
     ///
@@ -1249,7 +1235,9 @@ mod tests {
     fn integer_psums_are_integral_and_bounded() {
         let mut layer = make_layer(Granularity::Column, Granularity::Column, 25);
         let x = relu_input(26, &[1, 7, 6, 6]);
-        let psums = layer.integer_psums(&x);
+        layer.set_psum_capture(true);
+        let _ = layer.forward(&x, Mode::Eval);
+        let psums = layer.take_captured_psums().expect("captured psums");
         assert_eq!(psums.len(), 3);
         let bound = 1.0 /* 1b cell values in {-1,0,1} */ * 7.0 * (3.0 * 9.0);
         for p in &psums {

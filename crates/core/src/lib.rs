@@ -50,7 +50,7 @@ pub use cim_conv::{CimConv2d, VariationCfg, VariationMode};
 // re-exported here because it is the framework's central abstraction).
 pub use cq_cim::{
     backend_instance, AdcDigitizer, BackendError, BackendKind, BackendSet, ColumnDigitizer,
-    ConvProfile, ExecBackend, IdealDigitizer, PerturbedDigitizer, PsumPipeline,
+    ConvProfile, ExecBackend, IdealDigitizer, PsumPipeline,
 };
 pub use model::{
     accelerator_report, build_cim_resnet, count_cim_convs, for_each_cim_conv, load_cim_checkpoint,

@@ -5,7 +5,7 @@
 
 use crate::{CimConv2d, QuantScheme, VariationCfg, VariationMode};
 use cq_cim::CimConfig;
-use cq_nn::{Conv2d, ConvFactory, ConvRole, Layer, Mode, ResNet, ResNetSpec};
+use cq_nn::{Conv2d, ConvFactory, ConvRole, Layer, Mode, ParamKind, ParamView, ResNet, ResNetSpec};
 use cq_tensor::{CqRng, Tensor};
 
 /// Builds [`CimConv2d`] body convolutions (and optionally shortcuts) at
@@ -210,12 +210,33 @@ pub fn save_cim_checkpoint(
 ///
 /// # Errors
 ///
-/// Propagates I/O errors and checkpoint-format violations.
+/// Propagates I/O errors and checkpoint-format violations, and returns
+/// [`std::io::ErrorKind::InvalidData`] when a restored value is not
+/// finite or a quantizer scale is not positive — values no quantizer
+/// or frozen engine can run on. After an error the model's parameters
+/// may be partly overwritten.
 pub fn load_cim_checkpoint(
     model: &mut dyn Layer,
     path: impl AsRef<std::path::Path>,
 ) -> std::io::Result<()> {
     cq_nn::load_params(model, path)?;
+    let mut bad = None;
+    model.visit_params("", &mut |p: ParamView<'_>| {
+        let scale = p.kind == ParamKind::Scale;
+        if let Some(v) = p
+            .value
+            .iter()
+            .find(|v| !v.is_finite() || (scale && **v <= 0.0))
+        {
+            bad.get_or_insert(format!("{} = {v}", p.name));
+        }
+    });
+    if let Some(what) = bad {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("checkpoint value out of domain: {what}"),
+        ));
+    }
     for_each_cim_conv(model, |c| c.mark_scales_initialized());
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`tensor`] | `cq-tensor` | dense f32 tensors, GEMM, (grouped) convolution, pooling, RNG |
 //! | [`quant`] | `cq-quant` | LSQ quantizers with per-group scales, granularities, bit-splitting |
-//! | [`cim`] | `cq-cim` | array tiling, crossbars, ADC/DAC, variation, overhead model, crossbar engine |
+//! | [`cim`] | `cq-cim` | array tiling, crossbars, ADC, variation, overhead model, crossbar engine |
 //! | [`nn`] | `cq-nn` | layers with manual autograd, SGD, ResNet-20/18 |
 //! | [`scheme`] | `cq-scheme` | the quantization-scheme zoo: paper LSQ, BWMA binary weights, ADC-less hybrid digitization |
 //! | [`data`] | `cq-data` | synthetic CIFAR-10/100/ImageNet stand-ins, loaders |
