@@ -212,9 +212,9 @@ pub fn save_cim_checkpoint(
 ///
 /// Propagates I/O errors and checkpoint-format violations, and returns
 /// [`std::io::ErrorKind::InvalidData`] when a restored value is not
-/// finite or a quantizer scale is not positive — values no quantizer
-/// or frozen engine can run on. After an error the model's parameters
-/// may be partly overwritten.
+/// finite, a quantizer scale is not positive, or a BatchNorm running
+/// variance is negative — values no quantizer or frozen engine can run
+/// on. After an error the model's parameters may be partly overwritten.
 pub fn load_cim_checkpoint(
     model: &mut dyn Layer,
     path: impl AsRef<std::path::Path>,
@@ -223,10 +223,13 @@ pub fn load_cim_checkpoint(
     let mut bad = None;
     model.visit_params("", &mut |p: ParamView<'_>| {
         let scale = p.kind == ParamKind::Scale;
+        // Training clamps batch variance at 0, and `eps > 0` keeps a zero
+        // variance finite; a negative one can make `1/sqrt(var + eps)` NaN.
+        let variance = p.name.ends_with("running_var");
         if let Some(v) = p
             .value
             .iter()
-            .find(|v| !v.is_finite() || (scale && **v <= 0.0))
+            .find(|v| !v.is_finite() || (scale && **v <= 0.0) || (variance && **v < 0.0))
         {
             bad.get_or_insert(format!("{} = {v}", p.name));
         }

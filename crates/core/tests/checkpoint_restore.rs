@@ -1,9 +1,9 @@
 //! A corrupt checkpoint must be refused by `PreparedCimModel::restore`
 //! with an `Err`, never with a panic: values no frozen engine can run on
-//! (non-finite values, non-positive quantizer scales) are rejected by
-//! `load_cim_checkpoint`, and a seeded byte-mutation property test checks
-//! that no single changed byte gets past both the parser and that check
-//! into a panicking freeze.
+//! (non-finite values, non-positive quantizer scales, negative BatchNorm
+//! variances) are rejected by `load_cim_checkpoint`, and a seeded
+//! byte-mutation property test checks that no single changed byte gets
+//! past both the parser and that check into a panicking freeze.
 
 use cq_cim::CimConfig;
 use cq_core::{build_cim_resnet, save_cim_checkpoint, PreparedCimModel, QuantScheme};
@@ -49,8 +49,9 @@ fn patch_first_value(text: &str, suffix: &str, f: impl Fn(u32) -> u32) -> String
     lines.join("\n") + "\n"
 }
 
-/// A negative psum, activation or weight scale, or a NaN weight, in an
-/// otherwise well-formed checkpoint is refused with `InvalidData`.
+/// A negative psum, activation or weight scale, a negative BatchNorm
+/// running variance, or a NaN weight, in an otherwise well-formed
+/// checkpoint is refused with `InvalidData`.
 #[test]
 fn restore_rejects_out_of_domain_values() {
     let (path, text) = saved_checkpoint("cq_restore_domain", 15);
@@ -60,6 +61,7 @@ fn restore_rejects_out_of_domain_values() {
         ("p_scale", &sign as &dyn Fn(u32) -> u32),
         ("a_scale", &sign),
         ("w_scale", &sign),
+        ("running_var", &sign),
         ("weight", &nan),
     ] {
         std::fs::write(&path, patch_first_value(&text, suffix, f)).unwrap();

@@ -7,20 +7,19 @@
 //! ```text
 //!  client (one thread,         CimServer::start() -> ServeSession
 //!  many in-flight)          ┌──────────────────────────────────────────────┐
-//!  ───────────────────┐     │ RequestQueue (bounded; Block | Reject)       │
-//!  session.submit(    ├────►│  ├ Latency deque   (priority)                │
-//!   Request::to(..)   │     │  └ Bulk deque      (FIFO + aging; linger     │
-//!    .batch(x).slo(..)│     │                     ≤ max_wait)              │
-//!    .deadline(..)    │     └───────────────┬──────────────────────────────┘
-//!    .weight(..))     │                     │ BatchScheduler per worker:
-//!  ───────────────────┘                     │ aged bulk ≻ latency ≻ bulk;
-//!        │ Ticket                           │ latency arrivals preempt
-//!        ▼                                  │ bulk linger
+//!  ───────────────────┐     │ RequestQueue: one bounded FIFO               │
+//!  session.submit(    ├────►│ (full: Block | Reject)                       │
+//!   Request::to(..)   │     └───────────────┬──────────────────────────────┘
+//!    .batch(x)        │                     │ BatchScheduler per worker:
+//!    .deadline(..))   │                     │ FIFO run of same-model,
+//!  ───────────────────┘                     │ same-shape requests, ≤ max_batch
+//!        │ Ticket                           │ rows, lingering ≤ max_wait
+//!        ▼                                  │
 //!  CompletionSet::wait_any()                │
 //!  try_wait / wait_timeout / wait           │
 //!              ┌────────────────────────────┴─┐
 //!              ▼                              ▼
-//!        worker thread  …               worker thread    (owned threads)
+//!        worker thread  …               worker thread    (workers(n), fixed)
 //!              │ one sweep per worker, no lock│
 //!              ▼                              ▼
 //!  ┌──────────────────────────────────────────────────┐
@@ -31,7 +30,7 @@
 //!  └──────────────────────────────────────────────────┘
 //!              │ outputs split back per request
 //!              ▼
-//!   Completed { output, latency, slo, missed }
+//!   Completed { output, latency, missed }
 //!   ServeSession::shutdown() -> (ServeStats, models)
 //! ```
 //!
@@ -78,42 +77,22 @@
 //! new work to the replacement (`tests/churn_stress.rs` hammers this
 //! under multi-producer load).
 //!
-//! **Tenancy.** Requests optionally carry a [`TenantId`]
-//! ([`Request::tenant`]); tenants declared via
-//! [`TenantSpec`] get weighted-fair scheduling — per-class virtual-time
-//! fair queueing, so each tenant's served row share converges to its
-//! weight share under saturation, with idle periods banking no credit —
-//! and admission quotas (`max_queued`, `max_in_flight`) enforced at the
-//! queue with the recoverable [`SubmitError::QuotaExceeded`]. Untagged
-//! requests ride the built-in `"default"` tenant; with a single tenant
-//! the scheduler is exactly the PR 4 class scheduler.
+//! **Scheduling.** One FIFO queue feeds a fixed pool of
+//! [`ServeConfig::workers`] threads. Each worker pops the queue head and
+//! coalesces the FIFO run of same-model, same-shape requests behind it
+//! into one sweep of at most [`ServeConfig::max_batch`] rows, lingering
+//! up to [`ServeConfig::max_wait`] for more arrivals while the sweep is
+//! unfilled. A request may carry a deadline: an expired ticket is
+//! **still served** — bit-exactness and the every-ticket-resolves
+//! guarantee are never traded away — but completes with
+//! [`Completed::missed`] set, and [`ServeStats`] counts deadline-carrying
+//! and missed fulfilments.
 //!
-//! **Autoscaling.** The worker pool floats between
-//! [`ServeConfig::min_workers`] and [`ServeConfig::max_workers`]: the
-//! pool grows when the queue stays deeper than the live worker count for
-//! `scale_up_after`, and workers above the floor retire after
-//! `scale_down_idle` without work. Resizes never drop or reorder
-//! admitted work — they only change who pops the shared queue.
-//!
-//! **Observability.** [`ServeStats`] carries log-bucketed latency
-//! histograms per class and per tenant ([`LatencyHistogram`]), a
-//! decimating queue-depth time series, per-model and worker-pool
-//! counters, and renders the whole snapshot in Prometheus text
-//! exposition format via [`ServeStats::render_prometheus`].
-//!
-//! **SLO scheduling.** Requests carry an [`Slo`] class, an optional
-//! deadline, and an aging weight: [`Slo::Latency`] work schedules before
-//! [`Slo::Bulk`] work and preempts bulk batch formation (a lingering
-//! bulk sweep closes the moment a latency request lands); bulk keeps its
-//! FIFO coalescing behaviour. Under
-//! [`SchedulerPolicy::Aging`], once any queued bulk request's weighted
-//! age reaches `bulk_max_age` the bulk class outranks new latency
-//! arrivals (served FIFO from its head), giving bulk a provable
-//! per-request starvation bound under sustained latency floods. Deadline-
-//! expired tickets are **still served** — bit-exactness and the
-//! every-ticket-resolves guarantee are never traded away — but complete
-//! with [`Completed::missed`] set, and [`ServeStats`] reports per-class
-//! served/missed counters plus [`ServeStats::aged_promotions`].
+//! **Observability.** [`ServeStats`] carries a log-bucketed latency
+//! histogram of every fulfilment ([`LatencyHistogram`]), queue-depth,
+//! per-model, per-scheme and per-backend counters, and renders the whole
+//! snapshot in Prometheus text exposition format via
+//! [`ServeStats::render_prometheus`].
 //!
 //! The repository benchmark's `serve-open` workload (`perfbench/`)
 //! drives a session with seeded open-loop Poisson load through a
@@ -128,6 +107,7 @@
 //! use cq_nn::{Layer, Mode, ResNetSpec};
 //! use cq_serve::{CimServer, CompletionSet, ModelRegistry, Request, ServeConfig};
 //! use cq_tensor::CqRng;
+//! use std::time::Duration;
 //!
 //! // Freeze a (here: untrained but warmed) model for serving.
 //! let mut net = build_cim_resnet(
@@ -148,15 +128,19 @@
 //! let mut inflight = CompletionSet::new();
 //! for i in 0..4 {
 //!     let x = CqRng::new(10 + i).normal_tensor(&[1, 3, 12, 12], 1.0);
-//!     inflight.insert(session.submit(Request::to("resnet8").batch(x)).unwrap());
+//!     let request = Request::to("resnet8").batch(x).deadline(Duration::from_secs(60));
+//!     inflight.insert(session.submit(request).unwrap());
 //! }
 //! let mut outputs = Vec::new();
 //! while let Some((_key, done)) = inflight.wait_any() {
+//!     assert!(!done.missed, "served well inside its deadline");
 //!     outputs.push(done.output);
 //! }
 //! let (stats, models) = session.shutdown();
 //! assert_eq!(outputs.len(), 4);
 //! assert_eq!(stats.served, 4);
+//! assert_eq!((stats.with_deadline, stats.missed), (4, 0));
+//! assert_eq!(stats.latency_hist.count(), 4, "one histogram, every fulfilment");
 //! assert_eq!(models.len(), 1, "resident models handed back");
 //! ```
 
@@ -172,17 +156,13 @@ mod server;
 mod session;
 
 pub use completion::{CompletionSet, TicketKey};
-pub use config::{ConfigError, SchedulerPolicy, ServeConfig, ServeConfigBuilder, TenantSpec};
+pub use config::{ConfigError, ServeConfig, ServeConfigBuilder};
 // Re-exported so `ServeSession::shutdown`'s return type is nameable from
 // this crate alone.
 pub use cq_core::{BackendError, BackendKind, BackendSet, PreparedCimModel};
-pub use metrics::{
-    DepthSample, LatencyHistogram, ModelStats, TenantStats, WorkerStats, HISTOGRAM_BUCKETS,
-};
-pub use queue::{
-    Admission, BackendStats, ClassStats, Completed, ServeStats, Slo, SubmitError, Ticket,
-};
+pub use metrics::{LatencyHistogram, ModelStats, HISTOGRAM_BUCKETS};
+pub use queue::{Admission, BackendStats, Completed, ServeStats, SubmitError, Ticket};
 pub use registry::{EvictTicket, ModelId, ModelRegistry, SwapError};
-pub use request::{Request, TenantId};
+pub use request::Request;
 pub use server::CimServer;
 pub use session::ServeSession;

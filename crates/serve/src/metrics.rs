@@ -1,11 +1,10 @@
-//! Serving observability primitives: log-bucketed latency histograms, the
-//! queue-depth time series, per-tenant / per-model / worker-pool counter
-//! blocks, and the Prometheus text-format rendering of a
-//! [`ServeStats`](crate::ServeStats) snapshot.
+//! Serving observability primitives: the log-bucketed latency histogram,
+//! the per-model counter block, and the Prometheus text-format rendering
+//! of a [`ServeStats`](crate::ServeStats) snapshot.
 //!
 //! Everything here is plain counters — no background threads, no
-//! allocation on the record path beyond the (bounded, decimating) depth
-//! series — so the queue can update them under its own lock.
+//! allocation on the record path — so the queue can update them under
+//! its own lock.
 
 use crate::queue::ServeStats;
 use std::time::Duration;
@@ -22,7 +21,7 @@ pub const HISTOGRAM_BUCKETS: usize = 32;
 /// bucket absorbs everything above. Quantiles are read back as the upper
 /// bound of the bucket the quantile falls in, so a reported p99 is an
 /// upper estimate with at most 2× resolution error — enough to steer
-/// capacity, cheap enough to keep per tenant.
+/// capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -119,78 +118,6 @@ impl LatencyHistogram {
     }
 }
 
-/// One sample of the queue-depth time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DepthSample {
-    /// Offset from session start (first admission).
-    pub at: Duration,
-    /// Queue depth right after the admission that produced this sample.
-    pub depth: usize,
-}
-
-/// Bounded queue-depth time series: samples every admission until the
-/// buffer fills, then decimates (drop every other sample, double the
-/// stride) so memory stays O(1) over arbitrarily long sessions while the
-/// series keeps full time coverage.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DepthSeries {
-    samples: Vec<DepthSample>,
-    stride: u64,
-    tick: u64,
-}
-
-/// Capacity at which the depth series decimates.
-const DEPTH_SERIES_CAP: usize = 512;
-
-impl DepthSeries {
-    pub(crate) fn record(&mut self, at: Duration, depth: usize) {
-        if self.stride == 0 {
-            self.stride = 1;
-        }
-        self.tick += 1;
-        if self.tick % self.stride != 0 {
-            return;
-        }
-        self.samples.push(DepthSample { at, depth });
-        if self.samples.len() >= DEPTH_SERIES_CAP {
-            let mut keep = 0;
-            self.samples.retain(|_| {
-                keep += 1;
-                keep % 2 == 1
-            });
-            self.stride *= 2;
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> Vec<DepthSample> {
-        self.samples.clone()
-    }
-}
-
-/// Per-tenant serving counters (one entry per tenant that was configured
-/// or ever submitted), in [`ServeStats::tenants`](crate::ServeStats).
-#[derive(Debug, Clone)]
-pub struct TenantStats {
-    /// Tenant name (`"default"` for untagged requests).
-    pub name: String,
-    /// Weighted-fair scheduling weight.
-    pub weight: f32,
-    /// Requests admitted for this tenant.
-    pub submitted: u64,
-    /// Requests served for this tenant.
-    pub served: u64,
-    /// Images (batch rows) served for this tenant — the unit the
-    /// weighted-fair scheduler balances.
-    pub rows: u64,
-    /// Submissions turned away because a quota was at its limit.
-    pub quota_rejected: u64,
-    /// Most admitted-but-unserved requests this tenant ever had — never
-    /// exceeds its `max_in_flight` quota.
-    pub peak_in_flight: usize,
-    /// Log-bucketed submission-to-fulfilment latency histogram.
-    pub histogram: LatencyHistogram,
-}
-
 /// Per-model serving counters, in [`ServeStats::models`](crate::ServeStats)
 /// (slot order — evicted models keep their row).
 #[derive(Debug, Clone, Default)]
@@ -213,24 +140,6 @@ pub struct ModelStats {
     pub evicted: bool,
 }
 
-/// Worker-pool counters, in [`ServeStats::workers`](crate::ServeStats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Configured lower bound of the pool.
-    pub min: usize,
-    /// Configured upper bound of the pool.
-    pub max: usize,
-    /// Worker threads alive at the snapshot.
-    pub live: usize,
-    /// Most workers ever alive at once.
-    pub peak: usize,
-    /// Worker threads spawned over the session (initial set included).
-    pub spawned: u64,
-    /// Grow + shrink events after the initial spawn — `0` for a fixed
-    /// pool.
-    pub resizes: u64,
-}
-
 /// Escapes a Prometheus label value (backslash, quote, newline).
 fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\")
@@ -242,44 +151,30 @@ fn push_metric_header(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
-/// Renders one histogram in Prometheus exposition format (cumulative
-/// `_bucket{le=..}` rows in seconds, plus `_sum` and `_count`).
-fn push_histogram(out: &mut String, name: &str, labels: &str, h: &LatencyHistogram) {
+/// Renders one unlabelled histogram in Prometheus exposition format
+/// (cumulative `_bucket{le=..}` rows in seconds, plus `_sum` and
+/// `_count`). Buckets below the first populated one are skipped; every
+/// bound from there on is emitted, so the rows stay cumulative.
+fn push_histogram(out: &mut String, name: &str, h: &LatencyHistogram) {
     let mut cumulative = 0u64;
     for (i, &c) in h.buckets().iter().enumerate() {
         cumulative += c;
-        // Only emit the populated prefix plus one empty tail bucket would
-        // break cumulative semantics — emit every bound (32 rows) only
-        // when populated; always emit +Inf.
-        if c == 0 && cumulative == 0 {
+        if cumulative == 0 {
             continue;
         }
         let le = LatencyHistogram::bucket_upper_us(i) as f64 / 1e6;
-        out.push_str(&format!(
-            "{name}_bucket{{{labels}le=\"{le}\"}} {cumulative}\n"
-        ));
+        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
     }
-    out.push_str(&format!(
-        "{name}_bucket{{{labels}le=\"+Inf\"}} {}\n",
-        h.count()
-    ));
-    out.push_str(&format!(
-        "{name}_sum{{{labels_trim}}} {}\n",
-        h.sum().as_secs_f64(),
-        labels_trim = labels.trim_end_matches(',')
-    ));
-    out.push_str(&format!(
-        "{name}_count{{{labels_trim}}} {}\n",
-        h.count(),
-        labels_trim = labels.trim_end_matches(',')
-    ));
+    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
+    out.push_str(&format!("{name}_sum {}\n", h.sum().as_secs_f64()));
+    out.push_str(&format!("{name}_count {}\n", h.count()));
 }
 
 impl ServeStats {
     /// Renders the snapshot in the Prometheus text exposition format — a
     /// scrape body a sidecar can serve verbatim: global counters and
-    /// gauges, per-class and per-tenant latency histograms (seconds), and
-    /// per-model / per-backend / worker-pool counters.
+    /// gauges, the latency histogram (seconds), and per-model /
+    /// per-scheme / per-backend counters.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
 
@@ -296,10 +191,6 @@ impl ServeStats {
         out.push_str(&format!(
             "cq_serve_requests_total{{outcome=\"rejected\"}} {}\n",
             self.rejected
-        ));
-        out.push_str(&format!(
-            "cq_serve_requests_total{{outcome=\"quota_rejected\"}} {}\n",
-            self.quota_rejected
         ));
         push_metric_header(
             &mut out,
@@ -336,26 +227,9 @@ impl ServeStats {
             &mut out,
             "cq_serve_workers",
             "gauge",
-            "Worker threads by pool dimension.",
+            "Worker threads serving the session.",
         );
-        for (dim, v) in [
-            ("live", self.workers.live),
-            ("min", self.workers.min),
-            ("max", self.workers.max),
-            ("peak", self.workers.peak),
-        ] {
-            out.push_str(&format!("cq_serve_workers{{dim=\"{dim}\"}} {v}\n"));
-        }
-        push_metric_header(
-            &mut out,
-            "cq_serve_worker_resizes_total",
-            "counter",
-            "Autoscaler grow+shrink events.",
-        );
-        out.push_str(&format!(
-            "cq_serve_worker_resizes_total {}\n",
-            self.workers.resizes
-        ));
+        out.push_str(&format!("cq_serve_workers {}\n", self.workers));
         push_metric_header(
             &mut out,
             "cq_serve_model_swaps_total",
@@ -375,48 +249,9 @@ impl ServeStats {
             &mut out,
             "cq_serve_latency_seconds",
             "histogram",
-            "Submission-to-fulfilment latency by class.",
+            "Submission-to-fulfilment latency.",
         );
-        push_histogram(
-            &mut out,
-            "cq_serve_latency_seconds",
-            "class=\"latency\",",
-            &self.latency_hist,
-        );
-        push_histogram(
-            &mut out,
-            "cq_serve_latency_seconds",
-            "class=\"bulk\",",
-            &self.bulk_hist,
-        );
-
-        push_metric_header(
-            &mut out,
-            "cq_serve_tenant_served_total",
-            "counter",
-            "Requests served per tenant.",
-        );
-        for t in &self.tenants {
-            out.push_str(&format!(
-                "cq_serve_tenant_served_total{{tenant=\"{}\"}} {}\n",
-                escape_label(&t.name),
-                t.served
-            ));
-        }
-        push_metric_header(
-            &mut out,
-            "cq_serve_tenant_latency_seconds",
-            "histogram",
-            "Latency per tenant.",
-        );
-        for t in &self.tenants {
-            push_histogram(
-                &mut out,
-                "cq_serve_tenant_latency_seconds",
-                &format!("tenant=\"{}\",", escape_label(&t.name)),
-                &t.histogram,
-            );
-        }
+        push_histogram(&mut out, "cq_serve_latency_seconds", &self.latency_hist);
 
         push_metric_header(
             &mut out,
@@ -506,22 +341,5 @@ mod tests {
         h.record(Duration::from_secs(1 << 40));
         assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 1);
         assert!(h.quantile(0.99).is_some());
-    }
-
-    #[test]
-    fn depth_series_decimates_but_keeps_coverage() {
-        let mut s = DepthSeries::default();
-        for i in 0..5000u64 {
-            s.record(Duration::from_millis(i), (i % 7) as usize);
-        }
-        let samples = s.snapshot();
-        assert!(samples.len() < 512, "bounded after decimation");
-        assert!(samples.len() >= 128, "still a useful series");
-        assert!(
-            samples.windows(2).all(|w| w[0].at <= w[1].at),
-            "monotone time"
-        );
-        // Coverage reaches near the end of the run.
-        assert!(samples.last().unwrap().at >= Duration::from_millis(4000));
     }
 }

@@ -1,19 +1,13 @@
-//! The bounded request queue, admission control, and SLO-aware batch
+//! The bounded request queue, admission control, and FIFO batch
 //! scheduler of the serving front-end.
 //!
 //! Clients [`submit`](crate::ServeSession::submit) requests into one
-//! shared [`RequestQueue`]; each request carries an [`Slo`] class, an
-//! optional deadline, and an aging weight. Worker threads each drive a
-//! [`BatchScheduler`] that pops runs of same-model, same-class requests
-//! and coalesces them into sweeps under the `max_batch` / `max_wait`
-//! policy, with class priority: [`Slo::Latency`] work schedules before
-//! [`Slo::Bulk`] work and **preempts** bulk batch formation (a lingering
-//! bulk sweep closes the moment a latency request lands). Under
-//! [`SchedulerPolicy::Aging`](crate::SchedulerPolicy), a bulk head whose
-//! weighted queue age reaches `bulk_max_age` outranks new latency
-//! arrivals — the starvation bound. Admission is enforced at the queue:
-//! when it is full, a submission either blocks until a worker frees space
-//! or is rejected immediately with the input handed back.
+//! shared [`RequestQueue`]; each request may carry a deadline. Worker
+//! threads each drive a [`BatchScheduler`] that pops FIFO runs of
+//! same-model, same-shape requests and coalesces them into sweeps under
+//! the `max_batch` / `max_wait` policy. Admission is enforced at the
+//! queue: when it is full, a submission either blocks until a worker
+//! frees space or is rejected immediately with the input handed back.
 //!
 //! On the client side, a [`Ticket`] is a **pollable** completion handle:
 //! blocking [`wait`](Ticket::wait), non-blocking
@@ -25,28 +19,12 @@
 //! served bits.
 
 use crate::completion::ReadyList;
-use crate::config::{SchedulerPolicy, TenantSpec};
-use crate::metrics::{
-    DepthSample, DepthSeries, LatencyHistogram, ModelStats, TenantStats, WorkerStats,
-};
+use crate::metrics::{LatencyHistogram, ModelStats};
 use cq_core::BackendKind;
 use cq_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Service-level-objective class of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Slo {
-    /// Latency-sensitive: schedules before any bulk work and preempts
-    /// bulk batch formation.
-    Latency,
-    /// Throughput-oriented: serves in FIFO order whenever no latency work
-    /// is pending (or when aged past the
-    /// [`SchedulerPolicy::Aging`](crate::SchedulerPolicy) threshold). The
-    /// default class.
-    Bulk,
-}
 
 /// What a submission does when the bounded queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,17 +44,6 @@ pub enum SubmitError {
     /// No **live** model with this id is registered (never registered, or
     /// evicted from the running session).
     UnknownModel(String),
-    /// The request's tenant is at one of its admission quotas
-    /// (`max_queued` or `max_in_flight`); the input is handed back.
-    /// Quota rejection is always immediate — it never blocks, even under
-    /// [`Admission::Block`] — because a quota is a policy limit, not
-    /// transient backpressure.
-    QuotaExceeded {
-        /// The tenant whose quota was hit.
-        tenant: String,
-        /// The input, handed back for retry or shedding.
-        input: Tensor,
-    },
     /// The [`Request`](crate::Request) was built without
     /// [`batch`](crate::Request::batch) — there is nothing to run.
     MissingInput,
@@ -90,7 +57,7 @@ pub enum SubmitError {
 
 /// A fulfilled request: the model output plus end-to-end latency
 /// (submission call to worker fulfilment, including any admission
-/// blocking and queueing time) and the SLO outcome.
+/// blocking and queueing time) and the deadline outcome.
 #[derive(Debug)]
 pub struct Completed {
     /// The model output for this request (`[b, ...]`, matching the
@@ -98,12 +65,10 @@ pub struct Completed {
     pub output: Tensor,
     /// Submission-to-fulfilment latency.
     pub latency: Duration,
-    /// The class the request was submitted under.
-    pub slo: Slo,
     /// `true` when the request had a deadline and fulfilment happened
     /// after it. Deadline-expired requests are still served (outputs stay
     /// bit-exact and every admitted ticket resolves) — `missed` records
-    /// the SLO violation.
+    /// the violation.
     pub missed: bool,
 }
 
@@ -231,7 +196,6 @@ impl ResponseSlot {
         }
     }
 }
-
 /// Pollable handle to one in-flight request, returned by a successful
 /// submission.
 ///
@@ -253,14 +217,12 @@ impl ResponseSlot {
 pub struct Ticket {
     slot: Arc<ResponseSlot>,
     submitted_at: Instant,
-    slo: Slo,
     deadline: Option<Instant>,
 }
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket")
-            .field("slo", &self.slo)
             .field("deadline", &self.deadline)
             .field("ready", &self.is_ready())
             .finish_non_exhaustive()
@@ -270,24 +232,21 @@ impl std::fmt::Debug for Ticket {
 impl Ticket {
     /// Stamps the submission instant; created **before** admission so the
     /// measured latency includes any [`Admission::Block`] backpressure.
-    pub(crate) fn new(slot: Arc<ResponseSlot>, slo: Slo, deadline: Option<Duration>) -> Self {
+    /// A deadline too far away to represent as an [`Instant`] can never
+    /// be missed, so it is dropped rather than overflowing.
+    pub(crate) fn new(slot: Arc<ResponseSlot>, deadline: Option<Duration>) -> Self {
         let submitted_at = Instant::now();
         Self {
             slot,
             submitted_at,
-            slo,
-            deadline: deadline.map(|d| submitted_at + d),
+            deadline: deadline.and_then(|d| submitted_at.checked_add(d)),
         }
     }
 
-    /// The absolute deadline, if one was set at submission.
+    /// The absolute deadline, if one was set at submission (and is
+    /// representable).
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// The [`Slo`] class this request was submitted under.
-    pub fn slo(&self) -> Slo {
-        self.slo
     }
 
     /// The instant the submission call was made (before any admission
@@ -359,7 +318,6 @@ impl Ticket {
         Completed {
             output,
             latency: at.saturating_duration_since(self.submitted_at),
-            slo: self.slo,
             missed: self.deadline.is_some_and(|d| at > d),
         }
     }
@@ -373,40 +331,10 @@ pub(crate) struct QueuedRequest {
     pub input: Tensor,
     /// Where the output goes.
     pub slot: Arc<ResponseSlot>,
-    /// Priority class.
-    pub slo: Slo,
     /// Absolute completion deadline, if any.
     pub deadline: Option<Instant>,
-    /// When the request was submitted (before admission blocking) — the
-    /// zero point of its aging clock.
+    /// When the request was submitted (before admission blocking).
     pub submitted_at: Instant,
-    /// Aging-rate multiplier (weighted age = elapsed × weight).
-    pub weight: f32,
-    /// Queue-side tenant index (0 = the default tenant, for untagged
-    /// requests).
-    pub tenant: usize,
-}
-
-impl QueuedRequest {
-    /// The request's weighted queue age at `now`.
-    fn weighted_age(&self, now: Instant) -> Duration {
-        now.saturating_duration_since(self.submitted_at)
-            .mul_f64(self.weight as f64)
-    }
-}
-
-/// Per-[`Slo`]-class counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Requests admitted into the queue under this class.
-    pub submitted: u64,
-    /// Requests fulfilled (every admitted request is fulfilled before the
-    /// session shuts down).
-    pub served: u64,
-    /// Fulfilments that carried a deadline.
-    pub with_deadline: u64,
-    /// Fulfilments that happened after the request's deadline.
-    pub missed: u64,
 }
 
 /// Per-execution-backend serving counters (one slot per
@@ -451,20 +379,13 @@ pub struct ServeStats {
     pub peak_queue_depth: usize,
     /// Mean queue depth over those samples.
     pub mean_queue_depth: f64,
-    /// Counters for [`Slo::Latency`] requests.
-    pub latency: ClassStats,
-    /// Counters for [`Slo::Bulk`] requests.
-    pub bulk: ClassStats,
-    /// Bulk sweeps served **ahead of pending latency work** because their
-    /// head crossed the [`SchedulerPolicy::Aging`](crate::SchedulerPolicy)
-    /// threshold — the starvation-bound mechanism firing.
-    pub aged_promotions: u64,
+    /// Fulfilments that carried a deadline.
+    pub with_deadline: u64,
+    /// Fulfilments that happened after the request's deadline.
+    pub missed: u64,
     /// Per-backend counters, indexed by [`BackendKind::index`]
     /// (`scalar`, `simd-f32`, `int-panels`).
     pub backends: [BackendStats; 3],
-    /// Submissions turned away because a tenant quota was at its limit
-    /// (counted separately from capacity [`rejected`](ServeStats::rejected)).
-    pub quota_rejected: u64,
     /// Models registered onto the **live** session
     /// ([`ServeSession::register`](crate::ServeSession::register)) —
     /// models resident at `start()` are not counted.
@@ -472,23 +393,21 @@ pub struct ServeStats {
     /// Models evicted from the live session
     /// ([`ServeSession::evict`](crate::ServeSession::evict)).
     pub evictions: u64,
-    /// Log-bucketed submission-to-fulfilment latency histogram of
-    /// [`Slo::Latency`] fulfilments.
+    /// Log-bucketed submission-to-fulfilment latency histogram of every
+    /// fulfilment.
     pub latency_hist: LatencyHistogram,
-    /// Log-bucketed latency histogram of [`Slo::Bulk`] fulfilments.
+    /// Always empty: every fulfilment lands in
+    /// [`latency_hist`](ServeStats::latency_hist). Kept only because the
+    /// repository benchmark still merges it into `latency_hist`; it goes
+    /// when the benchmark reads `latency_hist` alone.
     pub bulk_hist: LatencyHistogram,
-    /// Bounded queue-depth time series (sampled after admissions,
-    /// decimated to stay O(1) over long sessions); offsets are relative
-    /// to the first admission.
-    pub queue_depth_series: Vec<DepthSample>,
-    /// Per-tenant counters and histograms, index 0 = the default tenant.
-    pub tenants: Vec<TenantStats>,
     /// Per-model counters in registry slot order (evicted models keep
     /// their row). Names and eviction flags are filled by the session
     /// snapshot; a raw queue snapshot carries empty names.
     pub models: Vec<ModelStats>,
-    /// Worker-pool gauges (filled by the session snapshot).
-    pub workers: WorkerStats,
+    /// The session's worker-thread count (filled by the session
+    /// snapshot).
+    pub workers: usize,
 }
 
 impl ServeStats {
@@ -496,11 +415,10 @@ impl ServeStats {
     /// no fulfilment carried a deadline) — deadline-less traffic does not
     /// dilute the rate.
     pub fn deadline_miss_rate(&self) -> f64 {
-        let with_deadline = self.latency.with_deadline + self.bulk.with_deadline;
-        if with_deadline == 0 {
+        if self.with_deadline == 0 {
             0.0
         } else {
-            (self.latency.missed + self.bulk.missed) as f64 / with_deadline as f64
+            self.missed as f64 / self.with_deadline as f64
         }
     }
 
@@ -525,70 +443,6 @@ impl ServeStats {
     }
 }
 
-/// One tenant's queue-side state: its own per-class FIFO deques, its
-/// weighted-fair virtual clock, its admission quotas, and its counters.
-struct TenantState {
-    name: String,
-    weight: f32,
-    max_queued: Option<usize>,
-    max_in_flight: Option<usize>,
-    latency: VecDeque<QueuedRequest>,
-    bulk: VecDeque<QueuedRequest>,
-    /// Weighted-fair virtual time: advanced by `rows / weight` per sweep
-    /// served, so at saturation each tenant's served-row share converges
-    /// to its weight share. Bumped to the queue's virtual floor on
-    /// (re)activation so idle time never banks scheduling credit.
-    vtime: f64,
-    /// Admitted-but-not-yet-fulfilled requests (the `max_in_flight`
-    /// quota's meter).
-    in_flight: usize,
-    peak_in_flight: usize,
-    submitted: u64,
-    served: u64,
-    rows: u64,
-    quota_rejected: u64,
-    histogram: LatencyHistogram,
-}
-
-impl TenantState {
-    fn new(spec: &TenantSpec, vtime: f64) -> Self {
-        Self {
-            name: spec.name.clone(),
-            weight: spec.weight,
-            max_queued: spec.max_queued,
-            max_in_flight: spec.max_in_flight,
-            latency: VecDeque::new(),
-            bulk: VecDeque::new(),
-            vtime,
-            in_flight: 0,
-            peak_in_flight: 0,
-            submitted: 0,
-            served: 0,
-            rows: 0,
-            quota_rejected: 0,
-            histogram: LatencyHistogram::new(),
-        }
-    }
-
-    fn queued(&self) -> usize {
-        self.latency.len() + self.bulk.len()
-    }
-
-    fn class_queue(&mut self, class: Slo) -> &mut VecDeque<QueuedRequest> {
-        match class {
-            Slo::Latency => &mut self.latency,
-            Slo::Bulk => &mut self.bulk,
-        }
-    }
-
-    fn class_len(&self, class: Slo) -> usize {
-        match class {
-            Slo::Latency => self.latency.len(),
-            Slo::Bulk => self.bulk.len(),
-        }
-    }
-}
-
 /// Per-model-slot counters (names/eviction flags live in the registry and
 /// are overlaid by the session snapshot).
 #[derive(Default, Clone, Copy)]
@@ -600,20 +454,11 @@ struct ModelCounters {
 
 #[derive(Default)]
 struct QueueState {
-    /// Index 0 is always the default tenant (untagged requests); further
-    /// tenants come from the config or are created on first submission.
-    tenants: Vec<TenantState>,
+    /// Admitted requests in arrival order.
+    queue: VecDeque<QueuedRequest>,
     closed: bool,
-    /// Cached queued-request counts (depth checks and class-priority
-    /// decisions are O(1), not O(tenants)).
-    latency_queued: usize,
-    bulk_queued: usize,
-    /// Virtual-time floor: the highest virtual time any sweep was picked
-    /// at. A tenant (re)activating bumps its clock at least here.
-    vfloor: f64,
     submitted: u64,
     rejected: u64,
-    quota_rejected: u64,
     served: u64,
     batches: u64,
     rows_swept: u64,
@@ -621,13 +466,9 @@ struct QueueState {
     peak_depth: usize,
     depth_sum: u64,
     depth_samples: u64,
-    latency_stats: ClassStats,
-    bulk_stats: ClassStats,
+    with_deadline: u64,
+    missed: u64,
     latency_hist: LatencyHistogram,
-    bulk_hist: LatencyHistogram,
-    depth_series: DepthSeries,
-    started: Option<Instant>,
-    aged_promotions: u64,
     backend_stats: [BackendStats; 3],
     models: Vec<ModelCounters>,
     hot_registered: u64,
@@ -635,50 +476,11 @@ struct QueueState {
 }
 
 impl QueueState {
-    fn depth(&self) -> usize {
-        self.latency_queued + self.bulk_queued
-    }
-
-    fn class_stats_mut(&mut self, slo: Slo) -> &mut ClassStats {
-        match slo {
-            Slo::Latency => &mut self.latency_stats,
-            Slo::Bulk => &mut self.bulk_stats,
-        }
-    }
-
-    fn class_hist_mut(&mut self, slo: Slo) -> &mut LatencyHistogram {
-        match slo {
-            Slo::Latency => &mut self.latency_hist,
-            Slo::Bulk => &mut self.bulk_hist,
-        }
-    }
-
     fn model_mut(&mut self, model: usize) -> &mut ModelCounters {
         if self.models.len() <= model {
             self.models.resize(model + 1, ModelCounters::default());
         }
         &mut self.models[model]
-    }
-
-    /// The tenant with the lowest virtual time among those with `class`
-    /// work queued (ties break to the lowest index — the default tenant,
-    /// then configuration order). Caller guarantees the class is
-    /// non-empty. Advances the virtual floor to the winning clock.
-    fn wfq_pick(&mut self, class: Slo) -> usize {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, t) in self.tenants.iter().enumerate() {
-            if t.class_len(class) == 0 {
-                continue;
-            }
-            if best.map_or(true, |(_, v)| t.vtime < v) {
-                best = Some((i, t.vtime));
-            }
-        }
-        let (idx, vtime) = best.expect("wfq_pick on an empty class");
-        if vtime > self.vfloor {
-            self.vfloor = vtime;
-        }
-        idx
     }
 }
 
@@ -691,50 +493,17 @@ pub(crate) struct RequestQueue {
 }
 
 impl RequestQueue {
-    /// A queue with only the built-in default tenant (the unit-test
-    /// shorthand; sessions use [`with_tenants`](RequestQueue::with_tenants)).
-    #[cfg(test)]
     pub(crate) fn new(capacity: usize) -> Self {
-        Self::with_tenants(capacity, &[])
-    }
-
-    /// A queue with the default tenant (index 0, weight 1, no quotas —
-    /// untagged requests land here) plus one [`TenantState`] per
-    /// configured [`TenantSpec`], in configuration order.
-    pub(crate) fn with_tenants(capacity: usize, specs: &[TenantSpec]) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
-        let mut state = QueueState::default();
-        state
-            .tenants
-            .push(TenantState::new(&TenantSpec::new("default"), 0.0));
-        for spec in specs {
-            state.tenants.push(TenantState::new(spec, 0.0));
-        }
         Self {
             capacity,
-            state: Mutex::new(state),
+            state: Mutex::new(QueueState::default()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
 
-    /// Resolves a tenant name to its queue-side index, creating an
-    /// unconfigured tenant (weight 1, no quotas) on first sight.
-    pub(crate) fn resolve_tenant(&self, name: &str) -> usize {
-        let mut st = self.state.lock().unwrap();
-        if let Some(i) = st.tenants.iter().position(|t| t.name == name) {
-            return i;
-        }
-        let vtime = st.vfloor;
-        st.tenants
-            .push(TenantState::new(&TenantSpec::new(name), vtime));
-        st.tenants.len() - 1
-    }
-
-    /// Admits `req` under `admission` (see [`Admission`]). The capacity
-    /// bound covers both classes together. Tenant quotas are checked
-    /// first and reject immediately — a quota-capped submission never
-    /// parks on a full queue.
+    /// Admits `req` under `admission` (see [`Admission`]).
     pub(crate) fn submit(
         &self,
         req: QueuedRequest,
@@ -745,19 +514,7 @@ impl RequestQueue {
             if st.closed {
                 return Err(SubmitError::Closed(req.input));
             }
-            let tenant = &mut st.tenants[req.tenant];
-            let quota_hit = tenant.max_queued.is_some_and(|q| tenant.queued() >= q)
-                || tenant.max_in_flight.is_some_and(|q| tenant.in_flight >= q);
-            if quota_hit {
-                tenant.quota_rejected += 1;
-                let name = tenant.name.clone();
-                st.quota_rejected += 1;
-                return Err(SubmitError::QuotaExceeded {
-                    tenant: name,
-                    input: req.input,
-                });
-            }
-            if st.depth() < self.capacity {
+            if st.queue.len() < self.capacity {
                 break;
             }
             match admission {
@@ -769,60 +526,23 @@ impl RequestQueue {
             }
         }
         st.submitted += 1;
-        st.class_stats_mut(req.slo).submitted += 1;
-        match req.slo {
-            Slo::Latency => st.latency_queued += 1,
-            Slo::Bulk => st.bulk_queued += 1,
-        }
-        let vfloor = st.vfloor;
-        let tenant = &mut st.tenants[req.tenant];
-        // (Re)activation bump: an idle tenant rejoins at the virtual
-        // floor, so idle time never banks scheduling credit.
-        if tenant.queued() == 0 && tenant.vtime < vfloor {
-            tenant.vtime = vfloor;
-        }
-        tenant.submitted += 1;
-        tenant.in_flight += 1;
-        tenant.peak_in_flight = tenant.peak_in_flight.max(tenant.in_flight);
-        tenant.class_queue(req.slo).push_back(req);
-        let depth = st.depth();
+        st.queue.push_back(req);
+        let depth = st.queue.len();
         st.peak_depth = st.peak_depth.max(depth);
         st.depth_sum += depth as u64;
         st.depth_samples += 1;
-        let now = Instant::now();
-        let started = *st.started.get_or_insert(now);
-        st.depth_series
-            .record(now.saturating_duration_since(started), depth);
         drop(st);
         self.not_empty.notify_one();
         Ok(())
     }
 
-    /// Records one fulfilment: per-class accounting, the class and tenant
-    /// latency histograms, and the tenant's in-flight meter.
-    pub(crate) fn note_served(
-        &self,
-        slo: Slo,
-        tenant: usize,
-        had_deadline: bool,
-        missed: bool,
-        latency: Duration,
-    ) {
+    /// Records one fulfilment: deadline accounting and the latency
+    /// histogram.
+    pub(crate) fn note_served(&self, had_deadline: bool, missed: bool, latency: Duration) {
         let mut st = self.state.lock().unwrap();
-        let cs = st.class_stats_mut(slo);
-        cs.served += 1;
-        cs.with_deadline += u64::from(had_deadline);
-        cs.missed += u64::from(missed);
-        st.class_hist_mut(slo).record(latency);
-        let t = &mut st.tenants[tenant];
-        t.served += 1;
-        t.in_flight = t.in_flight.saturating_sub(1);
-        t.histogram.record(latency);
-        drop(st);
-        // In-flight quota space freed: a blocked submitter never waits on
-        // this (quotas reject immediately), but wake capacity waiters in
-        // case a fulfilment races a capacity pop notification.
-        self.not_full.notify_all();
+        st.with_deadline += u64::from(had_deadline);
+        st.missed += u64::from(missed);
+        st.latency_hist.record(latency);
     }
 
     /// Attributes one executed sweep of `images` rows to `kind`.
@@ -831,12 +551,6 @@ impl RequestQueue {
         let bs = &mut st.backend_stats[kind.index()];
         bs.sweeps += 1;
         bs.images += images;
-    }
-
-    /// Current queued-request depth (both classes) — the autoscaler's
-    /// load signal.
-    pub(crate) fn depth(&self) -> usize {
-        self.state.lock().unwrap().depth()
     }
 
     /// Counts one model registered onto the live session.
@@ -857,9 +571,9 @@ impl RequestQueue {
         self.not_full.notify_all();
     }
 
-    /// Snapshot of the counters. Model names/eviction flags and worker
-    /// gauges are not known at the queue — the session snapshot overlays
-    /// them.
+    /// Snapshot of the counters. Model names/eviction flags and the
+    /// worker count are not known at the queue — the session snapshot
+    /// overlays them.
     pub(crate) fn stats(&self) -> ServeStats {
         let st = self.state.lock().unwrap();
         ServeStats {
@@ -875,30 +589,13 @@ impl RequestQueue {
             } else {
                 st.depth_sum as f64 / st.depth_samples as f64
             },
-            latency: st.latency_stats,
-            bulk: st.bulk_stats,
-            aged_promotions: st.aged_promotions,
+            with_deadline: st.with_deadline,
+            missed: st.missed,
             backends: st.backend_stats,
-            quota_rejected: st.quota_rejected,
             hot_registered: st.hot_registered,
             evictions: st.evictions,
             latency_hist: st.latency_hist.clone(),
-            bulk_hist: st.bulk_hist.clone(),
-            queue_depth_series: st.depth_series.snapshot(),
-            tenants: st
-                .tenants
-                .iter()
-                .map(|t| TenantStats {
-                    name: t.name.clone(),
-                    weight: t.weight,
-                    submitted: t.submitted,
-                    served: t.served,
-                    rows: t.rows,
-                    quota_rejected: t.quota_rejected,
-                    peak_in_flight: t.peak_in_flight,
-                    histogram: t.histogram.clone(),
-                })
-                .collect(),
+            bulk_hist: LatencyHistogram::new(),
             models: st
                 .models
                 .iter()
@@ -911,32 +608,17 @@ impl RequestQueue {
                     evicted: false,
                 })
                 .collect(),
-            workers: WorkerStats::default(),
+            workers: 0,
         }
     }
 }
 
-/// Outcome of a bounded scheduler poll
-/// ([`BatchScheduler::poll_work`]).
-pub(crate) enum WorkPoll {
-    /// A coalesced sweep of whole requests (one model, one class) to
-    /// execute.
-    Ready(Vec<QueuedRequest>),
-    /// Nothing arrived within the idle bound — the autoscaler's
-    /// retirement signal.
-    Idle,
-    /// The queue is closed and fully drained.
-    Closed,
-}
-
 /// Forms coalesced sweeps from the shared queue under the
-/// `max_batch` / `max_wait` policy with [`Slo`] priority (strict, or
-/// strict-with-aging). Each worker thread owns one.
+/// `max_batch` / `max_wait` policy. Each worker thread owns one.
 pub(crate) struct BatchScheduler<'q> {
     queue: &'q RequestQueue,
     max_batch: Option<usize>,
     max_wait: Duration,
-    policy: SchedulerPolicy,
 }
 
 impl<'q> BatchScheduler<'q> {
@@ -944,147 +626,36 @@ impl<'q> BatchScheduler<'q> {
         queue: &'q RequestQueue,
         max_batch: Option<usize>,
         max_wait: Duration,
-        policy: SchedulerPolicy,
     ) -> Self {
         assert!(max_batch != Some(0), "max_batch must be positive");
         Self {
             queue,
             max_batch,
             max_wait,
-            policy,
         }
     }
 
-    /// The tenant holding the **stalest** queued bulk request — the one
-    /// with the highest weighted age at or past the aging threshold —
-    /// or `None` when nothing is stale (always `None` under
-    /// [`SchedulerPolicy::Strict`](crate::SchedulerPolicy)). Scanning
-    /// every deque — not just the heads — keeps the starvation bound
-    /// per-request even with heterogeneous weights: a weight-1.0 request
-    /// queued behind a slow-aging weight-0.1 head still trips the
-    /// promotion on its own clock (its tenant's bulk then drains FIFO
-    /// from the head, so it is reached within the requests ahead of it —
-    /// bounded by the queue capacity). The scan is O(queue depth) under
-    /// the lock, and the depth is bounded by `queue_capacity`.
-    fn stale_bulk_tenant(&self, st: &QueueState) -> Option<usize> {
-        let limit = self.policy.bulk_max_age()?;
-        let now = Instant::now();
-        let mut stalest: Option<(usize, Duration)> = None;
-        for (i, t) in st.tenants.iter().enumerate() {
-            for r in &t.bulk {
-                let age = r.weighted_age(now);
-                if age >= limit && stalest.map_or(true, |(_, a)| age > a) {
-                    stalest = Some((i, age));
-                }
-            }
-        }
-        stalest.map(|(i, _)| i)
-    }
-
-    /// Blocks for the next sweep, in priority order:
-    ///
-    /// 1. **Aged bulk sweeps** (only under
-    ///    [`SchedulerPolicy::Aging`](crate::SchedulerPolicy)) — when any
-    ///    queued bulk request's weighted age has reached `bulk_max_age`,
-    ///    the bulk class outranks new latency arrivals (served FIFO from
-    ///    its head). This is the starvation bound: under a sustained
-    ///    latency flood, every admitted bulk request is picked up within
-    ///    `bulk_max_age / weight` of submission, plus the sweep a worker
-    ///    already has in flight and the (capacity-bounded) bulk requests
-    ///    queued ahead of it.
-    /// 2. **Latency sweeps** — a maximal FIFO run of same-model,
-    ///    same-shape [`Slo::Latency`] requests under `max_batch`. Latency
-    ///    sweeps never linger: they coalesce only what is already queued.
-    /// 3. **Bulk sweeps** — lingering up to `max_wait` for more
-    ///    same-model arrivals while unfilled, but the linger (and sweep
-    ///    growth) aborts the moment latency work arrives — that is the
-    ///    preemption of bulk batch formation.
-    ///
-    /// A single request larger than the cap is swept alone — the model
-    /// chunks it internally. Returns `None` once the queue is closed and
-    /// drained. (Unit-test shorthand; the worker loop polls
-    /// [`poll_work`](BatchScheduler::poll_work).)
-    #[cfg(test)]
+    /// Blocks for the next sweep: pops the queue head and coalesces the
+    /// following FIFO run of same-model, same-shape requests under
+    /// `max_batch`. While the sweep is unfilled and the queue empty, it
+    /// lingers up to `max_wait` (from when the sweep started forming) for
+    /// more arrivals; a closed queue ends the linger. A different model
+    /// or shape, or a request that would overflow the cap, ends the sweep
+    /// — the scheduler never serves around the head. A single request
+    /// larger than the cap is swept alone (the model chunks it
+    /// internally). Returns `None` once the queue is closed and drained.
     pub(crate) fn next_sweep(&self) -> Option<Vec<QueuedRequest>> {
-        match self.poll_work(None) {
-            WorkPoll::Ready(sweep) => Some(sweep),
-            WorkPoll::Closed => None,
-            WorkPoll::Idle => unreachable!("unbounded poll never idles out"),
-        }
-    }
-
-    /// [`next_sweep`](BatchScheduler::next_sweep) with an optional idle
-    /// bound: when no work arrives within `idle_after` of the call, the
-    /// poll returns [`WorkPoll::Idle`] instead of blocking forever — the
-    /// hook the autoscaler uses to retire surplus workers.
-    pub(crate) fn poll_work(&self, idle_after: Option<Duration>) -> WorkPoll {
         let cap = self.max_batch.unwrap_or(usize::MAX);
-        let idle_deadline = idle_after.map(|d| Instant::now() + d);
         let mut st = self.queue.state.lock().unwrap();
-        loop {
-            // Aged bulk outranks *pending* latency work; when no latency
-            // work is queued, the normal order below serves bulk anyway
-            // (and the promotion counter only counts real overtakes). The
-            // promoted sweep comes from the tenant holding the stalest
-            // request — the starvation bound is per-request, so weighted
-            // fairness yields to it.
-            if st.latency_queued > 0 {
-                if let Some(tenant) = self.stale_bulk_tenant(&st) {
-                    st.aged_promotions += 1;
-                    return WorkPoll::Ready(self.form_sweep(st, Slo::Bulk, tenant, cap));
-                }
-                let tenant = st.wfq_pick(Slo::Latency);
-                return WorkPoll::Ready(self.form_sweep(st, Slo::Latency, tenant, cap));
-            }
-            if st.bulk_queued > 0 {
-                let tenant = st.wfq_pick(Slo::Bulk);
-                return WorkPoll::Ready(self.form_sweep(st, Slo::Bulk, tenant, cap));
+        let first = loop {
+            if let Some(first) = st.queue.pop_front() {
+                break first;
             }
             if st.closed {
-                return WorkPoll::Closed;
+                return None;
             }
-            match idle_deadline {
-                None => st = self.queue.not_empty.wait(st).unwrap(),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return WorkPoll::Idle;
-                    }
-                    st = self
-                        .queue
-                        .not_empty
-                        .wait_timeout(st, deadline - now)
-                        .unwrap()
-                        .0;
-                }
-            }
-        }
-    }
-
-    /// Pops the head of `tenant`'s `class` deque and coalesces the
-    /// following same-model, same-shape run under `cap` (strict FIFO
-    /// within the tenant's class: never serves around the head; sweeps
-    /// never mix tenants, so per-tenant row accounting stays exact). Only
-    /// bulk sweeps linger, and a linger also breaks when **another**
-    /// tenant has bulk queued — one tenant's quiet period must not stall
-    /// the others.
-    fn form_sweep(
-        &self,
-        mut st: std::sync::MutexGuard<'_, QueueState>,
-        class: Slo,
-        tenant: usize,
-        cap: usize,
-    ) -> Vec<QueuedRequest> {
-        fn pop(st: &mut QueueState, class: Slo, tenant: usize) -> Option<QueuedRequest> {
-            let q = st.tenants[tenant].class_queue(class).pop_front()?;
-            match class {
-                Slo::Latency => st.latency_queued -= 1,
-                Slo::Bulk => st.bulk_queued -= 1,
-            }
-            st.tenants[tenant].rows += q.input.dim(0) as u64;
-            Some(q)
-        }
-        let first = pop(&mut st, class, tenant).expect("form_sweep on an empty class");
+            st = self.queue.not_empty.wait(st).unwrap();
+        };
         // Every pop frees capacity *now* — wake blocked submitters before
         // lingering, or they would stall a full `max_wait` behind us.
         self.queue.not_full.notify_all();
@@ -1092,38 +663,31 @@ impl<'q> BatchScheduler<'q> {
         let inner: Vec<usize> = first.input.shape()[1..].to_vec();
         let mut rows = first.input.dim(0);
         let mut batch = vec![first];
-        let deadline = Instant::now() + self.max_wait;
+        // Elapsed time is compared with `max_wait`, never added to an
+        // `Instant`, so any `max_wait` (even `Duration::MAX`) is safe.
+        let formed_at = Instant::now();
         while rows < cap {
-            match st.tenants[tenant].class_queue(class).front() {
+            match st.queue.front() {
                 Some(next)
                     if next.model == model
                         && next.input.shape()[1..] == inner[..]
                         && rows + next.input.dim(0) <= cap =>
                 {
-                    let q = pop(&mut st, class, tenant).unwrap();
+                    let q = st.queue.pop_front().unwrap();
                     rows += q.input.dim(0);
                     batch.push(q);
                     self.queue.not_full.notify_all();
                 }
-                // A different model/shape or an overflowing request ends
-                // the sweep (strict FIFO: never serve around the head).
                 Some(_) => break,
                 None => {
-                    // Latency sweeps never linger; bulk linger aborts the
-                    // moment higher-priority work shows up — or another
-                    // tenant queues bulk work of its own.
-                    let other_bulk = st.bulk_queued > st.tenants[tenant].bulk.len();
-                    if class == Slo::Latency || st.closed || st.latency_queued > 0 || other_bulk {
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
+                    let waited = formed_at.elapsed();
+                    if st.closed || waited >= self.max_wait {
                         break;
                     }
                     st = self
                         .queue
                         .not_empty
-                        .wait_timeout(st, deadline - now)
+                        .wait_timeout(st, self.max_wait - waited)
                         .unwrap()
                         .0;
                 }
@@ -1133,15 +697,11 @@ impl<'q> BatchScheduler<'q> {
         st.rows_swept += rows as u64;
         st.max_sweep_rows = st.max_sweep_rows.max(rows);
         st.served += batch.len() as u64;
-        // Advance the serving tenant's weighted-fair clock by the rows it
-        // just consumed, normalized by its weight.
-        let t = &mut st.tenants[tenant];
-        t.vtime += rows as f64 / f64::from(t.weight.max(f32::EPSILON));
         let m = st.model_mut(model);
         m.sweeps += 1;
         m.images += rows as u64;
         m.served += batch.len() as u64;
-        batch
+        Some(batch)
     }
 }
 
@@ -1151,28 +711,17 @@ mod tests {
     use crate::CompletionSet;
 
     fn req(model: usize, rows: usize) -> QueuedRequest {
-        class_req(model, rows, Slo::Bulk)
+        shaped_req(model, &[rows, 1, 1, 1])
     }
 
-    fn class_req(model: usize, rows: usize, slo: Slo) -> QueuedRequest {
+    fn shaped_req(model: usize, shape: &[usize]) -> QueuedRequest {
         QueuedRequest {
             model,
-            input: Tensor::zeros(&[rows, 1, 1, 1]),
+            input: Tensor::zeros(shape),
             slot: Arc::new(ResponseSlot::new()),
-            slo,
             deadline: None,
             submitted_at: Instant::now(),
-            weight: 1.0,
-            tenant: 0,
         }
-    }
-
-    fn strict(
-        queue: &RequestQueue,
-        max_batch: Option<usize>,
-        max_wait: Duration,
-    ) -> BatchScheduler<'_> {
-        BatchScheduler::new(queue, max_batch, max_wait, SchedulerPolicy::Strict)
     }
 
     /// Reject admission must turn requests away exactly when the queue is
@@ -1181,17 +730,14 @@ mod tests {
     fn reject_admission_bounds_the_queue() {
         let q = RequestQueue::new(2);
         q.submit(req(0, 1), Admission::Reject).unwrap();
-        q.submit(class_req(0, 1, Slo::Latency), Admission::Reject)
-            .unwrap();
+        q.submit(req(0, 1), Admission::Reject).unwrap();
         match q.submit(req(0, 3), Admission::Reject) {
             Err(SubmitError::QueueFull(t)) => assert_eq!(t.dim(0), 3, "input handed back"),
             other => panic!("expected QueueFull, got {other:?}"),
         }
         let s = q.stats();
         assert_eq!((s.submitted, s.rejected), (2, 1));
-        assert_eq!(s.peak_queue_depth, 2, "both classes share the bound");
-        assert_eq!(s.latency.submitted, 1);
-        assert_eq!(s.bulk.submitted, 1);
+        assert_eq!(s.peak_queue_depth, 2);
     }
 
     /// Block admission must wait for space instead of rejecting.
@@ -1202,7 +748,7 @@ mod tests {
         let q2 = q.clone();
         let drainer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            let sched = strict(&q2, Some(4), Duration::ZERO);
+            let sched = BatchScheduler::new(&q2, Some(4), Duration::ZERO);
             sched.next_sweep().unwrap().len()
         });
         // Blocks until the drainer frees the single slot.
@@ -1221,7 +767,7 @@ mod tests {
             q.submit(req(m, b), Admission::Block).unwrap();
         }
         q.close();
-        let sched = strict(&q, Some(4), Duration::ZERO);
+        let sched = BatchScheduler::new(&q, Some(4), Duration::ZERO);
         let sizes: Vec<(usize, usize)> = std::iter::from_fn(|| sched.next_sweep())
             .map(|b| {
                 let rows: usize = b.iter().map(|r| r.input.dim(0)).sum();
@@ -1237,155 +783,41 @@ mod tests {
         assert_eq!(s.served, 6);
     }
 
-    /// Latency-class work always schedules before bulk work, even when the
-    /// bulk requests were submitted first, and the two classes never ride
-    /// one sweep.
+    /// An unfilled sweep lingers for late arrivals until the cap fills,
+    /// and a close ends the linger at once — neither waits out
+    /// `max_wait`, here one too long to add to an `Instant`.
     #[test]
-    fn latency_class_schedules_before_earlier_bulk() {
-        let q = RequestQueue::new(16);
-        q.submit(class_req(0, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        q.submit(class_req(0, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        q.submit(class_req(0, 1, Slo::Latency), Admission::Block)
-            .unwrap();
-        q.submit(class_req(0, 1, Slo::Latency), Admission::Block)
-            .unwrap();
-        q.close();
-        let sched = strict(&q, Some(8), Duration::ZERO);
-        let classes: Vec<Vec<Slo>> = std::iter::from_fn(|| sched.next_sweep())
-            .map(|b| b.iter().map(|r| r.slo).collect())
-            .collect();
-        assert_eq!(
-            classes,
-            vec![vec![Slo::Latency, Slo::Latency], vec![Slo::Bulk, Slo::Bulk],]
-        );
-    }
-
-    /// Under the aging policy, a bulk head older than `bulk_max_age`
-    /// outranks latency work that arrived after it — and the promotion is
-    /// counted. Fresh bulk still yields to latency.
-    #[test]
-    fn aged_bulk_head_outranks_pending_latency() {
-        let q = RequestQueue::new(16);
-        let mut stale = class_req(0, 1, Slo::Bulk);
-        // Backdate the bulk head far past the threshold (no sleeping).
-        stale.submitted_at = Instant::now() - Duration::from_secs(60);
-        q.submit(stale, Admission::Block).unwrap();
-        q.submit(class_req(0, 1, Slo::Latency), Admission::Block)
-            .unwrap();
-        q.submit(class_req(0, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        q.close();
-        let sched = BatchScheduler::new(
-            &q,
-            Some(1),
-            Duration::ZERO,
-            SchedulerPolicy::Aging {
-                bulk_max_age: Duration::from_secs(30),
-            },
-        );
-        let classes: Vec<Slo> = std::iter::from_fn(|| sched.next_sweep())
-            .map(|b| b[0].slo)
-            .collect();
-        // Stale bulk first (promoted), then latency, then the fresh bulk.
-        assert_eq!(classes, vec![Slo::Bulk, Slo::Latency, Slo::Bulk]);
-        assert_eq!(q.stats().aged_promotions, 1, "exactly one real overtake");
-    }
-
-    /// The stale scan covers the whole bulk deque, not just its head: a
-    /// fast-aging request queued behind a slow-aging head trips the
-    /// promotion on its own clock, and bulk then drains FIFO from the
-    /// head — no per-request starvation behind a low-weight head.
-    #[test]
-    fn stale_bulk_behind_slow_aging_head_still_promotes() {
-        let q = RequestQueue::new(16);
-        let mut slow_head = class_req(0, 1, Slo::Bulk);
-        // Head: 40 s old but weight 0.1 → weighted age 4 s, not stale.
-        slow_head.submitted_at = Instant::now() - Duration::from_secs(40);
-        slow_head.weight = 0.1;
-        q.submit(slow_head, Admission::Block).unwrap();
-        let mut fast_second = class_req(0, 1, Slo::Bulk);
-        // Behind it: 35 s old at weight 1.0 → stale past the 30 s limit.
-        fast_second.submitted_at = Instant::now() - Duration::from_secs(35);
-        q.submit(fast_second, Admission::Block).unwrap();
-        q.submit(class_req(0, 1, Slo::Latency), Admission::Block)
-            .unwrap();
-        q.close();
-        let sched = BatchScheduler::new(
-            &q,
-            Some(1),
-            Duration::ZERO,
-            SchedulerPolicy::Aging {
-                bulk_max_age: Duration::from_secs(30),
-            },
-        );
-        let classes: Vec<Slo> = std::iter::from_fn(|| sched.next_sweep())
-            .map(|b| b[0].slo)
-            .collect();
-        // Both bulk sweeps outrank the latency arrival (FIFO within the
-        // class: the slow head rides the first promoted sweep).
-        assert_eq!(classes, vec![Slo::Bulk, Slo::Bulk, Slo::Latency]);
-        assert_eq!(q.stats().aged_promotions, 2);
-    }
-
-    /// Per-request weights scale the aging clock: at equal queue age, a
-    /// heavy bulk head crosses the threshold while a weight-1 head does
-    /// not.
-    #[test]
-    fn aging_weight_scales_the_clock() {
-        let age = Duration::from_secs(10);
-        let policy = SchedulerPolicy::Aging {
-            bulk_max_age: Duration::from_secs(30),
-        };
-        for (weight, promoted) in [(1.0f32, false), (4.0, true)] {
-            let q = RequestQueue::new(16);
-            let mut head = class_req(0, 1, Slo::Bulk);
-            head.submitted_at = Instant::now() - age;
-            head.weight = weight;
-            q.submit(head, Admission::Block).unwrap();
-            q.submit(class_req(0, 1, Slo::Latency), Admission::Block)
-                .unwrap();
-            q.close();
-            let sched = BatchScheduler::new(&q, Some(1), Duration::ZERO, policy);
-            let first = sched.next_sweep().unwrap();
-            let want = if promoted { Slo::Bulk } else { Slo::Latency };
-            assert_eq!(
-                first[0].slo, want,
-                "weight {weight} at age {age:?} promoted={promoted}"
-            );
-            assert_eq!(q.stats().aged_promotions, u64::from(promoted));
-        }
-    }
-
-    /// A latency arrival preempts bulk batch formation: the lingering bulk
-    /// sweep stops immediately instead of waiting out `max_wait`.
-    #[test]
-    fn latency_arrival_preempts_bulk_linger() {
+    fn linger_ends_when_the_cap_fills_or_the_queue_closes() {
         let q = Arc::new(RequestQueue::new(16));
-        q.submit(class_req(0, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
+        let sched = BatchScheduler::new(&q, Some(2), Duration::MAX);
+        q.submit(req(0, 1), Admission::Block).unwrap();
         let q2 = q.clone();
-        let poker = std::thread::spawn(move || {
+        let late = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
-            q2.submit(class_req(0, 1, Slo::Latency), Admission::Block)
-                .unwrap();
+            q2.submit(req(0, 1), Admission::Block).unwrap();
         });
-        // A very generous linger: without preemption this would block for
-        // 10 s; with it, the sweep closes as soon as the latency request
-        // lands.
-        let sched = strict(&q, Some(4), Duration::from_secs(10));
         let t0 = Instant::now();
-        let first = sched.next_sweep().unwrap();
+        assert_eq!(sched.next_sweep().unwrap().len(), 2, "late arrival rides");
         assert!(
             t0.elapsed() < Duration::from_secs(5),
-            "bulk linger was not preempted"
+            "cap did not end the linger"
         );
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].slo, Slo::Bulk);
-        let second = sched.next_sweep().unwrap();
-        assert_eq!(second[0].slo, Slo::Latency);
-        poker.join().unwrap();
+        late.join().unwrap();
+
+        q.submit(req(0, 1), Admission::Block).unwrap();
+        let q2 = q.clone();
+        let closer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            q2.close();
+        });
+        let t0 = Instant::now();
+        assert_eq!(sched.next_sweep().unwrap().len(), 1);
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "close did not end the linger"
+        );
+        closer.join().unwrap();
+        assert!(sched.next_sweep().is_none());
     }
 
     /// Requests with mismatched `[C, H, W]` must never ride one sweep —
@@ -1393,21 +825,12 @@ mod tests {
     #[test]
     fn scheduler_never_mixes_shapes_in_a_sweep() {
         let q = RequestQueue::new(8);
-        let wide = QueuedRequest {
-            model: 0,
-            input: Tensor::zeros(&[1, 2, 3, 3]),
-            slot: Arc::new(ResponseSlot::new()),
-            slo: Slo::Bulk,
-            deadline: None,
-            submitted_at: Instant::now(),
-            weight: 1.0,
-            tenant: 0,
-        };
         q.submit(req(0, 1), Admission::Block).unwrap();
-        q.submit(wide, Admission::Block).unwrap();
+        q.submit(shaped_req(0, &[1, 2, 3, 3]), Admission::Block)
+            .unwrap();
         q.submit(req(0, 1), Admission::Block).unwrap();
         q.close();
-        let sched = strict(&q, Some(8), Duration::ZERO);
+        let sched = BatchScheduler::new(&q, Some(8), Duration::ZERO);
         let shapes: Vec<Vec<Vec<usize>>> = std::iter::from_fn(|| sched.next_sweep())
             .map(|b| b.iter().map(|r| r.input.shape().to_vec()).collect())
             .collect();
@@ -1428,11 +851,11 @@ mod tests {
         let slot = Arc::new(ResponseSlot::new());
         slot.fulfill(Tensor::zeros(&[1]));
         slot.abandon(); // no-op: already fulfilled
-        let ticket = Ticket::new(slot, Slo::Bulk, None);
+        let ticket = Ticket::new(slot, None);
         assert_eq!(ticket.wait().output, Tensor::zeros(&[1]));
 
         let slot = Arc::new(ResponseSlot::new());
-        let ticket = Ticket::new(slot.clone(), Slo::Latency, None);
+        let ticket = Ticket::new(slot.clone(), None);
         slot.abandon();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.wait()));
         assert!(err.is_err(), "waiting on an abandoned slot must panic");
@@ -1444,7 +867,7 @@ mod tests {
     #[test]
     fn pollable_ticket_paths_resolve_without_blocking() {
         let slot = Arc::new(ResponseSlot::new());
-        let ticket = Ticket::new(slot.clone(), Slo::Bulk, None);
+        let ticket = Ticket::new(slot.clone(), None);
         assert!(!ticket.is_ready());
         let ticket = ticket.try_wait().expect_err("nothing fulfilled yet");
         let t0 = Instant::now();
@@ -1463,7 +886,7 @@ mod tests {
     #[test]
     fn abandoned_slot_panics_through_try_wait() {
         let slot = Arc::new(ResponseSlot::new());
-        let ticket = Ticket::new(slot.clone(), Slo::Bulk, None);
+        let ticket = Ticket::new(slot.clone(), None);
         slot.abandon();
         assert!(ticket.is_ready(), "abandoned reads ready");
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.try_wait()));
@@ -1481,7 +904,7 @@ mod tests {
         slots[0].fulfill(Tensor::zeros(&[1]));
         let keys: Vec<_> = slots
             .iter()
-            .map(|s| set.insert(Ticket::new(s.clone(), Slo::Bulk, None)))
+            .map(|s| set.insert(Ticket::new(s.clone(), None)))
             .collect();
         assert_eq!(set.len(), 3);
         slots[2].fulfill(Tensor::zeros(&[3]));
@@ -1504,7 +927,7 @@ mod tests {
     fn completion_set_timeout_and_abandon() {
         let slot = Arc::new(ResponseSlot::new());
         let mut set = CompletionSet::new();
-        set.insert(Ticket::new(slot.clone(), Slo::Bulk, None));
+        set.insert(Ticket::new(slot.clone(), None));
         assert!(
             set.wait_any_timeout(Duration::from_millis(5)).is_none(),
             "nothing resolved inside the timeout"
@@ -1522,190 +945,46 @@ mod tests {
     #[test]
     fn deadlines_stamp_missed_on_late_fulfilment() {
         let slot = Arc::new(ResponseSlot::new());
-        let ticket = Ticket::new(slot.clone(), Slo::Latency, Some(Duration::ZERO));
-        assert_eq!(ticket.slo(), Slo::Latency);
+        let ticket = Ticket::new(slot.clone(), Some(Duration::ZERO));
         assert!(ticket.deadline().is_some(), "deadline introspectable");
         std::thread::sleep(Duration::from_millis(2));
         slot.fulfill(Tensor::zeros(&[1]));
         let done = ticket.wait();
         assert!(done.missed, "expired deadline must stamp missed");
-        assert_eq!(done.slo, Slo::Latency);
         assert_eq!(done.output, Tensor::zeros(&[1]), "output still delivered");
 
         let slot = Arc::new(ResponseSlot::new());
-        let ticket = Ticket::new(slot.clone(), Slo::Latency, Some(Duration::from_secs(600)));
+        let ticket = Ticket::new(slot.clone(), Some(Duration::from_secs(600)));
         slot.fulfill(Tensor::zeros(&[1]));
         assert!(!ticket.wait().missed);
     }
 
-    fn tenant_req(tenant: usize, rows: usize, slo: Slo) -> QueuedRequest {
-        let mut r = class_req(0, rows, slo);
-        r.tenant = tenant;
-        r
-    }
-
-    /// A `max_queued` quota rejects immediately — even under Block — and
-    /// hands the input back; draining reopens admission.
-    #[test]
-    fn max_queued_quota_rejects_immediately() {
-        let q = RequestQueue::new(16);
-        let a = q.resolve_tenant("a");
-        // Unconfigured tenants get no quotas; pin one on directly.
-        q.state.lock().unwrap().tenants[a].max_queued = Some(2);
-        q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        match q.submit(tenant_req(a, 3, Slo::Bulk), Admission::Block) {
-            Err(SubmitError::QuotaExceeded { tenant, input }) => {
-                assert_eq!(tenant, "a");
-                assert_eq!(input.dim(0), 3, "input handed back");
-            }
-            other => panic!("expected QuotaExceeded, got {other:?}"),
-        }
-        // Other tenants are unaffected by a's quota.
-        q.submit(req(0, 1), Admission::Block).unwrap();
-        let sched = strict(&q, Some(1), Duration::ZERO);
-        // Drain the default tenant's request (vtime tie breaks to index
-        // 0), then one of a's.
-        sched.next_sweep().unwrap();
-        sched.next_sweep().unwrap();
-        // One slot freed below the quota: admission reopens.
-        q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        let s = q.stats();
-        assert_eq!(s.quota_rejected, 1);
-        let ts = s.tenants.iter().find(|t| t.name == "a").unwrap();
-        assert_eq!(ts.quota_rejected, 1);
-        assert_eq!(ts.submitted, 3);
-    }
-
-    /// A `max_in_flight` quota meters admitted-but-unfulfilled requests:
-    /// scheduling alone does not free it — only fulfilment
-    /// (`note_served`) does — and `peak_in_flight` never exceeds it.
-    #[test]
-    fn max_in_flight_quota_waits_for_fulfilment() {
-        let q = RequestQueue::new(16);
-        let a = q.resolve_tenant("a");
-        q.state.lock().unwrap().tenants[a].max_in_flight = Some(1);
-        q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        assert!(matches!(
-            q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Reject),
-            Err(SubmitError::QuotaExceeded { .. })
-        ));
-        let sched = strict(&q, Some(1), Duration::ZERO);
-        sched.next_sweep().unwrap();
-        // Scheduled but not fulfilled: still in flight, still capped.
-        assert!(matches!(
-            q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Reject),
-            Err(SubmitError::QuotaExceeded { .. })
-        ));
-        q.note_served(Slo::Bulk, a, false, false, Duration::from_micros(50));
-        q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        let ts = q.stats().tenants[a].clone();
-        assert_eq!(ts.peak_in_flight, 1, "never exceeded the quota");
-        assert_eq!(ts.served, 1);
-        assert!(!ts.histogram.is_empty(), "fulfilment recorded a latency");
-    }
-
-    /// Weighted-fair scheduling: under saturation, served-row shares
-    /// follow tenant weights (a 3:1 weight split serves 3:1 rows), with
-    /// ties breaking to the lower tenant index.
-    #[test]
-    fn wfq_serves_rows_proportional_to_weight() {
-        let q = RequestQueue::with_tenants(
-            16,
-            &[TenantSpec::new("a"), TenantSpec::new("b").weight(3.0)],
-        );
-        let (a, b) = (q.resolve_tenant("a"), q.resolve_tenant("b"));
-        for _ in 0..4 {
-            q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Block)
-                .unwrap();
-        }
-        for _ in 0..12 {
-            q.submit(tenant_req(b, 1, Slo::Bulk), Admission::Block)
-                .unwrap();
-        }
-        q.close();
-        let sched = strict(&q, Some(1), Duration::ZERO);
-        let order: Vec<usize> = std::iter::from_fn(|| sched.next_sweep())
-            .map(|batch| batch[0].tenant)
-            .collect();
-        assert_eq!(order.len(), 16);
-        // Saturated prefix (both tenants backlogged through sweep 8 —
-        // a's 4 requests at weight 1 drain one per 4 sweeps): exactly
-        // weight-share interleave, a first on the vtime=0 tie.
-        assert_eq!(&order[..8], &[a, b, b, b, a, b, b, b]);
-        let s = q.stats();
-        assert_eq!(s.tenants[a].rows, 4);
-        assert_eq!(s.tenants[b].rows, 12);
-    }
-
-    /// An idle tenant must not bank scheduling credit: after sitting out
-    /// a busy period it rejoins at the virtual floor and shares from
-    /// there, rather than monopolizing until its stale clock catches up.
-    #[test]
-    fn reactivating_tenant_rejoins_at_the_virtual_floor() {
-        let q = RequestQueue::with_tenants(16, &[TenantSpec::new("a"), TenantSpec::new("b")]);
-        let (a, b) = (q.resolve_tenant("a"), q.resolve_tenant("b"));
-        let sched = strict(&q, Some(1), Duration::ZERO);
-        // b serves 6 rows alone; its clock runs ahead while a idles.
-        for _ in 0..6 {
-            q.submit(tenant_req(b, 1, Slo::Bulk), Admission::Block)
-                .unwrap();
-            sched.next_sweep().unwrap();
-        }
-        // a wakes up with a backlog; both now saturated.
-        for _ in 0..6 {
-            q.submit(tenant_req(a, 1, Slo::Bulk), Admission::Block)
-                .unwrap();
-            q.submit(tenant_req(b, 1, Slo::Bulk), Admission::Block)
-                .unwrap();
-        }
-        q.close();
-        let order: Vec<usize> = std::iter::from_fn(|| sched.next_sweep())
-            .map(|batch| batch[0].tenant)
-            .collect();
-        let a_in_first_half = order[..6].iter().filter(|&&t| t == a).count();
-        assert!(
-            (2..=4).contains(&a_in_first_half),
-            "a must share, not monopolize or starve: {order:?}"
-        );
-    }
-
-    /// The queue snapshot carries the new observability surfaces: class
-    /// histograms, the depth series, and per-model counters keyed by
-    /// slot index.
+    /// The queue snapshot carries the latency histogram, the deadline
+    /// counters and per-model counters keyed by slot index.
     #[test]
     fn stats_snapshot_carries_histograms_series_and_models() {
         let q = RequestQueue::new(8);
-        q.submit(class_req(1, 2, Slo::Latency), Admission::Block)
-            .unwrap();
-        q.submit(class_req(1, 1, Slo::Bulk), Admission::Block)
-            .unwrap();
-        let sched = strict(&q, Some(8), Duration::ZERO);
+        q.submit(req(1, 2), Admission::Block).unwrap();
+        q.submit(req(1, 1), Admission::Block).unwrap();
+        let sched = BatchScheduler::new(&q, Some(8), Duration::ZERO);
         sched.next_sweep().unwrap();
-        sched.next_sweep().unwrap();
-        q.note_served(Slo::Latency, 0, true, false, Duration::from_micros(700));
-        q.note_served(Slo::Bulk, 0, false, false, Duration::from_millis(3));
+        q.note_served(true, false, Duration::from_micros(700));
+        q.note_served(false, false, Duration::from_millis(3));
         let s = q.stats();
-        assert_eq!(s.latency_hist.count(), 1);
-        assert_eq!(s.bulk_hist.count(), 1);
+        assert_eq!(s.latency_hist.count(), 2, "every fulfilment recorded");
+        assert!(s.bulk_hist.is_empty());
         assert!(
-            s.latency_hist.quantile(1.0).unwrap() >= Duration::from_micros(700),
+            s.latency_hist.quantile(0.5).unwrap() >= Duration::from_micros(700),
             "quantile upper-bounds the observation"
         );
-        assert_eq!(s.queue_depth_series.len(), 2, "one sample per admission");
+        assert_eq!((s.with_deadline, s.missed), (1, 0));
         assert_eq!(s.models.len(), 2, "model vec grown to slot index 1");
         assert_eq!(s.models[1].served, 2);
-        assert_eq!(s.models[1].sweeps, 2);
+        assert_eq!(s.models[1].sweeps, 1);
         assert_eq!(s.models[1].images, 3);
         let prom = s.render_prometheus();
         assert!(prom.contains("cq_serve_served_total"));
-        assert!(prom.contains("cq_serve_latency_seconds_bucket{class=\"latency\","));
-        assert!(prom.contains("cq_serve_tenant_served_total{tenant=\"default\"}"));
+        assert!(prom.contains("cq_serve_latency_seconds_count 2\n"));
     }
 
     /// Closing wakes blocked submitters with `Closed` and lets schedulers
@@ -1719,7 +998,7 @@ mod tests {
             q.submit(req(0, 1), Admission::Block),
             Err(SubmitError::Closed(_))
         ));
-        let sched = strict(&q, None, Duration::ZERO);
+        let sched = BatchScheduler::new(&q, None, Duration::ZERO);
         assert_eq!(sched.next_sweep().unwrap().len(), 1);
         assert!(sched.next_sweep().is_none());
     }

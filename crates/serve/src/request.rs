@@ -4,40 +4,16 @@
 //! ```text
 //! Request::to("resnet8")        // or Request::to_id(model_id)
 //!     .batch(input)             // [B, C, H, W] tensor (required)
-//!     .slo(Slo::Latency)        // default: Slo::Bulk
 //!     .deadline(d)              // default: none
-//!     .weight(2.0)              // aging-rate multiplier, default 1.0
 //! ```
 //!
 //! A `Request` is inert until handed to
 //! [`ServeSession::submit`](crate::ServeSession::submit), which resolves
 //! the target against the registry and admits it into the queue.
 
-use crate::queue::Slo;
 use crate::registry::ModelId;
 use cq_tensor::Tensor;
 use std::time::Duration;
-
-/// A tenant identity, attached to a request with
-/// [`Request::tenant`](Request::tenant). Tenants configured via
-/// [`TenantSpec`](crate::TenantSpec) get their configured weight and
-/// quotas; unknown tenants are admitted with weight 1 and no quotas;
-/// untagged requests ride the built-in `"default"` tenant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TenantId(pub String);
-
-impl TenantId {
-    /// The tenant's name.
-    pub fn name(&self) -> &str {
-        &self.0
-    }
-}
-
-impl<S: Into<String>> From<S> for TenantId {
-    fn from(name: S) -> Self {
-        TenantId(name.into())
-    }
-}
 
 /// Where a request is going: a model name (resolved at submission) or a
 /// pre-resolved registry handle (skips the name lookup on hot paths).
@@ -53,17 +29,14 @@ pub(crate) enum Target {
 /// One serving request, built fluently and submitted through
 /// [`ServeSession::submit`](crate::ServeSession::submit).
 ///
-/// Defaults: [`Slo::Bulk`], no deadline, aging weight `1.0`. The input
-/// batch is **required** — submitting without one fails with
+/// Defaults: no deadline. The input batch is **required** — submitting
+/// without one fails with
 /// [`SubmitError::MissingInput`](crate::SubmitError).
 #[derive(Debug, Clone)]
 pub struct Request {
     pub(crate) target: Target,
     pub(crate) input: Option<Tensor>,
-    pub(crate) slo: Slo,
     pub(crate) deadline: Option<Duration>,
-    pub(crate) weight: f32,
-    pub(crate) tenant: Option<TenantId>,
 }
 
 impl Request {
@@ -71,10 +44,7 @@ impl Request {
         Self {
             target,
             input: None,
-            slo: Slo::Bulk,
             deadline: None,
-            weight: 1.0,
-            tenant: None,
         }
     }
 
@@ -97,45 +67,14 @@ impl Request {
         self
     }
 
-    /// The request's [`Slo`] class (default [`Slo::Bulk`]).
-    pub fn slo(mut self, slo: Slo) -> Self {
-        self.slo = slo;
-        self
-    }
-
     /// Completion deadline relative to submission. A deadline-expired
     /// request is still served bit-exactly — the violation is recorded in
-    /// [`Completed::missed`](crate::Completed) and the per-class stats.
+    /// [`Completed::missed`](crate::Completed) and
+    /// [`ServeStats::missed`](crate::ServeStats). A deadline too far away
+    /// to represent as an [`Instant`](std::time::Instant) can never be
+    /// missed and counts as none.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Aging-rate multiplier under
-    /// [`SchedulerPolicy::Aging`](crate::SchedulerPolicy): the request's
-    /// weighted queue age is `elapsed × weight`, so weight `2.0` crosses
-    /// `bulk_max_age` twice as fast and `0.5` half as fast. Ignored under
-    /// [`SchedulerPolicy::Strict`](crate::SchedulerPolicy) and for
-    /// latency-class requests (which are never the aged party). Default
-    /// `1.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `weight` is finite and positive.
-    pub fn weight(mut self, weight: f32) -> Self {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "request weight must be finite and positive, got {weight}"
-        );
-        self.weight = weight;
-        self
-    }
-
-    /// Tags the request with a tenant for weighted-fair scheduling and
-    /// quota accounting (see [`TenantSpec`](crate::TenantSpec)). Untagged
-    /// requests ride the built-in `"default"` tenant.
-    pub fn tenant(mut self, tenant: impl Into<TenantId>) -> Self {
-        self.tenant = Some(tenant.into());
         self
     }
 }
@@ -149,29 +88,13 @@ mod tests {
         let r = Request::to("m");
         assert!(matches!(&r.target, Target::Name(n) if n == "m"));
         assert!(r.input.is_none());
-        assert_eq!(r.slo, Slo::Bulk);
         assert_eq!(r.deadline, None);
-        assert_eq!(r.weight, 1.0);
-        assert_eq!(r.tenant, None, "untagged by default");
 
         let r = Request::to_id(ModelId(3))
             .batch(Tensor::zeros(&[1, 1, 1, 1]))
-            .slo(Slo::Latency)
-            .deadline(Duration::from_millis(5))
-            .weight(2.5)
-            .tenant("acme");
+            .deadline(Duration::from_millis(5));
         assert!(matches!(r.target, Target::Id(ModelId(3))));
         assert!(r.input.is_some());
-        assert_eq!(r.slo, Slo::Latency);
         assert_eq!(r.deadline, Some(Duration::from_millis(5)));
-        assert_eq!(r.weight, 2.5);
-        assert_eq!(r.tenant, Some(TenantId("acme".into())));
-        assert_eq!(r.tenant.unwrap().name(), "acme");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn zero_weight_is_rejected() {
-        let _ = Request::to("m").weight(0.0);
     }
 }

@@ -7,10 +7,9 @@ use crate::registry::ModelRegistry;
 use crate::session::ServeSession;
 
 /// A serving front-end over a set of resident frozen models: a bounded
-/// request queue with admission control, [`Slo`](crate::Slo) priority
-/// classes (optionally aging-weighted), per-worker batch schedulers, and
-/// owned worker threads draining sweeps into the registry (see crate docs
-/// for the full picture).
+/// FIFO request queue with admission control, per-worker batch
+/// schedulers, and a fixed pool of owned worker threads draining sweeps
+/// into the registry (see crate docs for the full picture).
 ///
 /// [`start`](CimServer::start) consumes the server and returns a
 /// [`ServeSession`] whose worker threads run until

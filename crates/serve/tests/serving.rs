@@ -8,7 +8,7 @@ use cq_core::{build_cim_resnet, PreparedCimModel, QuantScheme};
 use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
 use cq_serve::{
     Admission, BackendKind, BackendSet, CimServer, ConfigError, ModelRegistry, Request,
-    ServeConfig, ServeSession, ServeStats, Slo, SubmitError, Ticket,
+    ServeConfig, ServeSession, ServeStats, SubmitError, Ticket,
 };
 use cq_tensor::{CqRng, Tensor};
 use std::time::Duration;
@@ -260,7 +260,7 @@ fn stats_scrape_runs_concurrently_with_serving() {
                 let _layers: [usize; 3] = session.registry().backend_layer_counts();
                 let text = stats.render_prometheus();
                 assert!(text.contains("cq_serve_served_total"));
-                assert!(text.contains("cq_serve_workers{dim=\"live\"}"));
+                assert!(text.contains("cq_serve_workers 2\n"));
             }
             last_served
         });
@@ -275,16 +275,17 @@ fn stats_scrape_runs_concurrently_with_serving() {
     assert_eq!(stats.models[0].name, "m");
     assert!(!stats.models[0].evicted);
     assert_eq!(stats.models[0].served, 30);
-    assert!(!stats.tenants.is_empty(), "default tenant tracked");
-    assert_eq!(stats.tenants[0].name, "default");
     assert_eq!(
-        stats.latency_hist.count() + stats.bulk_hist.count(),
+        stats.latency_hist.count(),
         30,
-        "every fulfilment lands in a class histogram"
+        "every fulfilment lands in the one histogram"
     );
+    assert!(stats.bulk_hist.is_empty(), "bulk_hist is always empty");
     assert!(
-        !stats.queue_depth_series.is_empty(),
-        "admissions produce depth samples"
+        stats
+            .render_prometheus()
+            .contains("\ncq_serve_latency_seconds_count 30\n"),
+        "the histogram renders unlabelled, with no empty braces"
     );
 }
 
@@ -299,7 +300,7 @@ fn set_config_validates_and_is_sessions_only() {
     // directly (fields are public precisely so tests can) to exercise
     // `set_config`'s own validation path.
     let invalid = ServeConfig {
-        min_workers: 0,
+        workers: 0,
         ..ServeConfig::default()
     };
     assert_eq!(
@@ -307,33 +308,19 @@ fn set_config_validates_and_is_sessions_only() {
         Err(ConfigError::ZeroWorkers),
         "invalid config must be rejected, not asserted"
     );
-    let inverted = ServeConfig {
-        min_workers: 3,
-        max_workers: 1,
-        ..ServeConfig::default()
-    };
-    assert_eq!(
-        server.set_config(inverted),
-        Err(ConfigError::WorkerBounds { min: 3, max: 1 }),
-        "inverted autoscale bounds must be rejected"
-    );
     // Between sessions, reconfiguration succeeds and the policy sticks.
     let cfg = ServeConfig::builder().workers(3).build().unwrap();
     server.set_config(cfg).unwrap();
-    assert_eq!(server.config().min_workers, 3);
-    assert_eq!(server.config().max_workers, 3, "workers(n) fixes the pool");
+    assert_eq!(server.config().workers, 3);
     let (stats, models) = server.start().shutdown();
     assert_eq!(stats.submitted, 0);
-    assert_eq!(
-        stats.workers.peak, 3,
-        "the session ran under the new policy"
-    );
+    assert_eq!(stats.workers, 3, "the session ran under the new policy");
     // The handed-back models make a server that reconfigures again.
     let mut server = CimServer::new(ModelRegistry::from_models(models), ServeConfig::default());
     server
         .set_config(ServeConfig::builder().workers(1).build().unwrap())
         .unwrap();
-    assert_eq!(server.config().min_workers, 1);
+    assert_eq!(server.config().workers, 1);
 }
 
 /// Reject admission bounds the queue: some of a fast burst is shed, the
@@ -694,24 +681,6 @@ fn single_worker_serves_oversized_request_bit_exactly() {
     let (stats, _) = session.shutdown();
     assert_eq!(got, [want]);
     assert_eq!(stats.batches, 1);
-}
-
-/// A regression guard that `Slo` defaults survive the request builder.
-#[test]
-fn request_builder_defaults_to_bulk() {
-    let mut registry = ModelRegistry::new();
-    registry.register("m", prepared(65));
-    let session = CimServer::new(registry, ServeConfig::default()).start();
-    let t = session
-        .submit(Request::to("m").batch(Tensor::zeros(&[1, 3, 12, 12])))
-        .unwrap();
-    assert_eq!(t.slo(), Slo::Bulk, "builder default class");
-    assert!(t.deadline().is_none(), "builder default deadline");
-    let slo = t.wait().slo;
-    let (stats, _) = session.shutdown();
-    assert_eq!(slo, Slo::Bulk);
-    assert_eq!(stats.bulk.served, 1);
-    assert_eq!(stats.latency.served, 0);
 }
 
 /// Per-backend attribution: every sweep and image of a one-model session

@@ -1,11 +1,9 @@
-//! Deterministic concurrency test harness for the SLO-aware scheduler
-//! and the pollable completion handles:
-//! seeded multi-producer stress over mixed `try_wait`/`wait_timeout`/
-//! `wait_any` spin+block resolution (no deadlock, no lost wakeup, no
-//! lost ticket), bit-exactness of every resolution path across the
-//! psq/granularity/digitizer matrix, the aging starvation bound under a
-//! sustained latency flood, latency-over-stale-bulk completion ordering,
-//! deadline `missed` stamping, and panic propagation out of workers.
+//! Deterministic concurrency test harness for the scheduler and the
+//! pollable completion handles: seeded multi-producer stress over mixed
+//! `try_wait`/`wait_timeout`/`wait_any` spin+block resolution (no
+//! deadlock, no lost wakeup, no lost ticket), bit-exactness of every
+//! resolution path across the psq/granularity/digitizer matrix, deadline
+//! `missed` stamping, and panic propagation out of workers.
 
 use cq_cim::CimConfig;
 use cq_core::{
@@ -13,11 +11,9 @@ use cq_core::{
 };
 use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
 use cq_quant::Granularity;
-use cq_serve::{
-    Admission, CimServer, CompletionSet, ModelRegistry, Request, ServeConfig, Slo, Ticket,
-};
+use cq_serve::{Admission, CimServer, CompletionSet, ModelRegistry, Request, ServeConfig, Ticket};
 use cq_tensor::{CqRng, Tensor};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A small CIM ResNet with all lazy scales initialized (deterministic per
 /// seed).
@@ -41,14 +37,14 @@ fn request(rng: &mut CqRng, batch: usize) -> Tensor {
     rng.normal_tensor(&[batch, 3, 12, 12], 1.0)
 }
 
-/// Seeded-RNG stress: N producer threads submit mixed `Latency`/`Bulk`
-/// tickets (varied batch sizes, some oversized and chunked) against two
+/// Seeded-RNG stress: N producer threads submit tickets (varied batch
+/// sizes, some oversized and chunked, half with a deadline) against two
 /// resident models through a small queue — and each producer resolves its
 /// tickets through a **different mix** of completion paths (blocking
 /// `wait`, `try_wait` spin, `wait_timeout` loop, `CompletionSet`
 /// multiplexing). The owned session must terminate (no deadlock), resolve
 /// every ticket with a correctly-shaped output (no lost wakeup, no lost
-/// ticket), and keep exact per-class accounting.
+/// ticket), and keep exact deadline accounting.
 #[test]
 fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
     const PRODUCERS: u64 = 4;
@@ -75,38 +71,35 @@ fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
             .map(|p| {
                 sc.spawn(move || {
                     let mut rng = CqRng::new(7000 + p);
-                    let mut in_flight: Vec<(usize, Ticket)> = Vec::new();
+                    let mut in_flight: Vec<(usize, bool, Ticket)> = Vec::new();
                     for _ in 0..PER_PRODUCER {
                         let batch = [1, 1, 2, 5][rng.below(4)];
-                        let slo = if rng.below(2) == 0 {
-                            Slo::Latency
-                        } else {
-                            Slo::Bulk
-                        };
+                        let has_deadline = rng.below(2) == 0;
                         let model = ids[rng.below(2)];
                         let x = request(&mut rng, batch);
-                        let mut req = Request::to_id(model).batch(x).slo(slo);
-                        if slo == Slo::Latency {
+                        let mut req = Request::to_id(model).batch(x);
+                        if has_deadline {
                             req = req.deadline(Duration::from_secs(30));
                         }
                         // Submission blocks when the 8-slot queue is
                         // full — producers and workers exercise the
                         // admission/linger/steal interleavings hard.
-                        in_flight.push((batch, session.submit(req).unwrap()));
+                        let ticket = session.submit(req).unwrap();
+                        in_flight.push((batch, has_deadline, ticket));
                     }
                     // Resolve through a producer-specific path mix.
                     match p % 4 {
                         0 => in_flight
                             .into_iter()
-                            .map(|(b, t)| (b, t.wait()))
+                            .map(|(b, d, t)| (b, d, t.wait()))
                             .collect::<Vec<_>>(),
                         1 => in_flight
                             .into_iter()
-                            .map(|(b, mut t)| loop {
+                            .map(|(b, d, mut t)| loop {
                                 // try_wait spin (with yields): the pure
                                 // polling path must observe every wakeup.
                                 match t.try_wait() {
-                                    Ok(done) => break (b, done),
+                                    Ok(done) => break (b, d, done),
                                     Err(back) => {
                                         t = back;
                                         std::thread::yield_now();
@@ -116,11 +109,11 @@ fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
                             .collect(),
                         2 => in_flight
                             .into_iter()
-                            .map(|(b, mut t)| loop {
+                            .map(|(b, d, mut t)| loop {
                                 // Short-timeout block loop: mixes timed
                                 // parking with re-polling.
                                 match t.wait_timeout(Duration::from_millis(1)) {
-                                    Ok(done) => break (b, done),
+                                    Ok(done) => break (b, d, done),
                                     Err(back) => t = back,
                                 }
                             })
@@ -129,16 +122,17 @@ fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
                             // Condvar-backed multiplexer over all of this
                             // producer's tickets at once.
                             let mut set = CompletionSet::new();
-                            let batches: Vec<usize> = in_flight
+                            let metas: Vec<(usize, bool)> = in_flight
                                 .into_iter()
-                                .map(|(b, t)| {
+                                .map(|(b, d, t)| {
                                     set.insert(t);
-                                    b
+                                    (b, d)
                                 })
                                 .collect();
                             let mut done = Vec::new();
                             while let Some((key, completed)) = set.wait_any() {
-                                done.push((batches[key.index()], completed));
+                                let (b, d) = metas[key.index()];
+                                done.push((b, d, completed));
                             }
                             done
                         }
@@ -156,36 +150,31 @@ fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
 
     let total = (PRODUCERS as usize * PER_PRODUCER) as u64;
     assert_eq!(outcomes.len() as u64, total, "every ticket resolved");
-    for (batch, completed) in &outcomes {
+    for (batch, has_deadline, completed) in &outcomes {
         assert_eq!(
             completed.output.dim(0),
             *batch,
             "output batch dim matches the request"
         );
-        if completed.slo == Slo::Bulk {
-            assert!(!completed.missed, "deadline-free bulk cannot miss");
+        if !has_deadline {
+            assert!(!completed.missed, "a deadline-free ticket cannot miss");
         }
     }
     assert_eq!(stats.submitted, total);
     assert_eq!(stats.rejected, 0, "Block admission never rejects");
     assert_eq!(stats.served, total);
     assert_eq!(
-        stats.latency.served + stats.bulk.served,
+        stats.latency_hist.count(),
         total,
-        "per-class served covers every request"
+        "every fulfilment recorded"
     );
+    let with_deadline = outcomes.iter().filter(|(_, d, _)| *d).count() as u64;
     assert_eq!(
-        stats.latency.submitted + stats.bulk.submitted,
-        total,
-        "per-class submitted covers every request"
+        stats.with_deadline, with_deadline,
+        "every deadline-carrying ticket counted, and only those"
     );
-    assert_eq!(stats.bulk.missed, 0, "deadline-free bulk cannot miss");
-    assert_eq!(stats.bulk.with_deadline, 0);
-    assert_eq!(
-        stats.latency.with_deadline, stats.latency.served,
-        "every latency ticket carried a deadline"
-    );
-    assert!(stats.latency.missed <= stats.latency.served);
+    let missed = outcomes.iter().filter(|(_, _, c)| c.missed).count() as u64;
+    assert_eq!(stats.missed, missed, "stats agree with the tickets");
     assert!(
         stats.peak_queue_depth <= 8,
         "capacity bound violated under stress"
@@ -340,199 +329,11 @@ fn completion_set_multiplexes_hundreds_in_flight() {
     assert_eq!(stats.served, IN_FLIGHT as u64);
 }
 
-/// The aging starvation bound: under a **sustained latency flood**, bulk
-/// tickets submitted at the start are still served within `bulk_max_age`
-/// plus one in-flight sweep — instead of starving until the flood ends.
-/// The promotion counter proves the mechanism (not a lucky idle gap)
-/// served them.
-#[test]
-fn bulk_starvation_is_bounded_under_latency_flood() {
-    let bulk_max_age = Duration::from_millis(150);
-    // Generous allowance for the sweep(s) already in flight when the age
-    // trips (CI machines are slow); still far below the flood duration,
-    // so meeting the bound proves bulk cut *through* the flood.
-    let slack = Duration::from_millis(1000);
-    let flood = Duration::from_millis(2000);
-
-    let mut registry = ModelRegistry::new();
-    registry.register("m", prepared(80));
-    let session = CimServer::new(
-        registry,
-        ServeConfig::builder()
-            .queue_capacity(64)
-            .admission(Admission::Block)
-            .max_batch(Some(4))
-            .max_wait(Duration::ZERO)
-            .workers(1) // one worker: promotions must cut through it
-            .bulk_max_age(bulk_max_age)
-            .build()
-            .unwrap(),
-    )
-    .start();
-
-    // Two producers flood latency requests back-to-back (Block admission,
-    // so the bounded queue stays full of latency work — the single worker
-    // is saturated with no idle gaps for bulk to slip through). Bulk is
-    // submitted only once the flood is established, so *only* the aging
-    // promotion can serve it before the flood ends.
-    let (bulk_waits, latency_done) = std::thread::scope(|sc| {
-        let session = &session;
-        let producers: Vec<_> = (0..2u64)
-            .map(|p| {
-                sc.spawn(move || {
-                    let mut rng = CqRng::new(81 + p);
-                    let mut tickets = Vec::new();
-                    let t0 = Instant::now();
-                    while t0.elapsed() < flood {
-                        tickets.push(
-                            session
-                                .submit(
-                                    Request::to("m")
-                                        .batch(request(&mut rng, 1))
-                                        .slo(Slo::Latency),
-                                )
-                                .unwrap(),
-                        );
-                    }
-                    tickets
-                })
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(200)); // flood established
-        let mut rng = CqRng::new(90);
-        let bulk: Vec<(Instant, Ticket)> = (0..3)
-            .map(|_| {
-                // Block admission: submission may stall on the full
-                // queue, but the aging clock starts at the submit call.
-                let t = session
-                    .submit(Request::to("m").batch(request(&mut rng, 1)).slo(Slo::Bulk))
-                    .unwrap();
-                (Instant::now(), t)
-            })
-            .collect();
-        // Poll while the flood runs: record the first instant each bulk
-        // ticket is observed served, relative to its own submission.
-        let mut bulk_waits: Vec<Option<Duration>> = vec![None; bulk.len()];
-        let poll_end = Instant::now() + flood;
-        while bulk_waits.iter().any(|w| w.is_none()) && Instant::now() < poll_end {
-            for (i, (at, t)) in bulk.iter().enumerate() {
-                if bulk_waits[i].is_none() && t.is_ready() {
-                    bulk_waits[i] = Some(at.elapsed());
-                }
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Drain everything: every latency ticket resolves (bounded waits
-        // so a scheduler regression fails instead of hanging).
-        let mut latency_set = CompletionSet::new();
-        for h in producers {
-            for t in h.join().unwrap() {
-                latency_set.insert(t);
-            }
-        }
-        let mut latency_done = 0u64;
-        while let Some((_k, done)) = latency_set.wait_any_timeout(Duration::from_secs(60)) {
-            assert_eq!(done.slo, Slo::Latency);
-            latency_done += 1;
-        }
-        assert!(latency_set.is_empty(), "latency drain starved");
-        for (_, t) in bulk {
-            assert_eq!(t.wait().output.dim(0), 1);
-        }
-        (bulk_waits, latency_done)
-    });
-    for (i, ready) in bulk_waits.iter().enumerate() {
-        let waited = ready.unwrap_or_else(|| {
-            panic!("bulk ticket {i} starved through the whole {flood:?} latency flood")
-        });
-        assert!(
-            waited <= bulk_max_age + slack,
-            "bulk ticket {i} waited {waited:?}, bound is {bulk_max_age:?} + {slack:?}"
-        );
-    }
-    let (stats, _) = session.shutdown();
-    assert!(
-        stats.aged_promotions >= 1,
-        "the aging mechanism never fired: bulk was served by idle gaps only"
-    );
-    assert_eq!(stats.latency.served, latency_done);
-    assert_eq!(stats.bulk.served, 3);
-}
-
-/// Priority ordering: with one worker pinned on a long bulk sweep, every
-/// `Latency` ticket submitted afterwards completes before any `Bulk`
-/// ticket that was submitted ≥ `max_wait` earlier than the latency batch
-/// — the scheduler drains the whole latency class before returning to
-/// queued bulk work (strict policy, no aging).
-#[test]
-fn latency_completes_before_stale_bulk() {
-    let mut registry = ModelRegistry::new();
-    registry.register("m", prepared(80));
-    let max_wait = Duration::from_millis(1);
-    let session = CimServer::new(
-        registry,
-        ServeConfig::builder()
-            .queue_capacity(64)
-            .admission(Admission::Block)
-            .max_batch(Some(2))
-            .max_wait(max_wait)
-            .workers(1)
-            .build()
-            .unwrap(),
-    )
-    .start();
-
-    let t0 = Instant::now();
-    let rng = &mut CqRng::new(81);
-    // A long plug occupies the single worker (32 rows, chunked into 16
-    // internal sweeps) while everything else is submitted.
-    let plug = session
-        .submit(Request::to("m").batch(request(rng, 32)))
-        .unwrap();
-    // Stale bulk backlog, submitted well over `max_wait` before the
-    // latency tickets below.
-    let bulk: Vec<(Duration, Ticket)> = (0..6)
-        .map(|_| {
-            let t = session
-                .submit(Request::to("m").batch(request(rng, 1)))
-                .unwrap();
-            (t0.elapsed(), t)
-        })
-        .collect();
-    std::thread::sleep(3 * max_wait);
-    let latency: Vec<(Duration, Ticket)> = (0..6)
-        .map(|_| {
-            let t = session
-                .submit(Request::to("m").batch(request(rng, 1)).slo(Slo::Latency))
-                .unwrap();
-            (t0.elapsed(), t)
-        })
-        .collect();
-    let finish = |v: Vec<(Duration, Ticket)>| {
-        v.into_iter()
-            .map(|(at, t)| at + t.wait().latency)
-            .collect::<Vec<Duration>>()
-    };
-    let latency_done = finish(latency);
-    let bulk_done = finish(bulk);
-    let _ = plug.wait();
-    let (stats, _) = session.shutdown();
-
-    let last_latency = latency_done.iter().max().unwrap();
-    let first_bulk = bulk_done.iter().min().unwrap();
-    assert!(
-        last_latency < first_bulk,
-        "a latency ticket completed after a bulk ticket submitted \
-         ≥ max_wait earlier: last latency at {last_latency:?}, first bulk \
-         at {first_bulk:?}"
-    );
-    assert_eq!(stats.latency.served, 6);
-    assert_eq!(stats.bulk.served, 7);
-    assert_eq!(stats.aged_promotions, 0, "strict policy never promotes");
-}
-
 /// Deadline-expired tickets still complete — with bit-exact outputs — but
-/// carry the `Missed` status, and the per-class stats count them.
+/// carry the `missed` status, and the stats count them. Generous
+/// deadlines never miss, including one too far away to represent as an
+/// `Instant`, which must neither panic `submit` nor leave the model's
+/// admission behind.
 #[test]
 fn expired_deadlines_complete_with_missed_status() {
     let mut reference = warmed_net(90);
@@ -563,12 +364,7 @@ fn expired_deadlines_complete_with_missed_status() {
         .iter()
         .map(|x| {
             session
-                .submit(
-                    Request::to("m")
-                        .batch(x.clone())
-                        .slo(Slo::Latency)
-                        .deadline(Duration::ZERO),
-                )
+                .submit(Request::to("m").batch(x.clone()).deadline(Duration::ZERO))
                 .unwrap()
         })
         .collect();
@@ -577,26 +373,31 @@ fn expired_deadlines_complete_with_missed_status() {
     let (stats, models) = session.shutdown();
     for (completed, want) in outcomes.iter().zip(&want) {
         assert!(completed.missed, "zero deadline behind a plug must miss");
-        assert_eq!(completed.slo, Slo::Latency);
         assert_eq!(&completed.output, want, "missed ticket output diverged");
     }
-    assert_eq!(stats.latency.missed, 4);
-    assert_eq!(stats.latency.served, 4);
+    assert_eq!((stats.with_deadline, stats.missed), (4, 4));
+    assert_eq!(stats.served, 5);
 
-    // A generous deadline on the handed-back model does not miss.
+    // Generous deadlines on the handed-back model do not miss.
     let session = CimServer::new(ModelRegistry::from_models(models), cfg).start();
-    let completed = session
-        .submit(
-            Request::to("m")
-                .batch(inputs[0].clone())
-                .slo(Slo::Latency)
-                .deadline(Duration::from_secs(600)),
-        )
+    for deadline in [Duration::from_secs(600), Duration::MAX] {
+        let completed = session
+            .submit(Request::to("m").batch(inputs[0].clone()).deadline(deadline))
+            .unwrap()
+            .wait();
+        assert!(!completed.missed, "{deadline:?}");
+        assert_eq!(completed.output, want[0], "{deadline:?}: output diverged");
+    }
+    let evicted = session
+        .evict("m")
         .unwrap()
-        .wait();
+        .wait_timeout(Duration::from_secs(5));
+    assert!(
+        evicted.is_ok(),
+        "a served request left its admission behind"
+    );
     let (stats, _) = session.shutdown();
-    assert!(!completed.missed);
-    assert_eq!(stats.latency.missed, 0);
+    assert_eq!(stats.missed, 0);
 }
 
 /// A worker panic in the **owned** flow propagates out of `shutdown`

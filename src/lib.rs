@@ -62,8 +62,8 @@ pub use cq_data::SyntheticSpec;
 pub use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
 pub use cq_quant::Granularity;
 pub use cq_serve::{
-    Admission, CimServer, CompletionSet, EvictTicket, ModelRegistry, Request, SchedulerPolicy,
-    ServeConfig, ServeSession, Slo, TenantId, TenantSpec, Ticket,
+    Admission, CimServer, CompletionSet, EvictTicket, ModelRegistry, Request, ServeConfig,
+    ServeSession, Ticket,
 };
 pub use cq_tensor::Tensor;
 pub use cq_train::{train_with_scheme, TrainConfig, TrainResult};
