@@ -15,7 +15,7 @@ pub mod tables;
 use crate::ExperimentSetting;
 use cq_core::{build_cim_resnet, set_psum_quant_enabled, QuantScheme};
 use cq_data::{generate, Dataset};
-use cq_nn::{Layer, Mode, ResNet};
+use cq_nn::ResNet;
 use cq_quant::Granularity;
 use cq_train::{train_with_scheme, TrainResult};
 
@@ -116,19 +116,4 @@ pub fn granularity_sweep(setting: &ExperimentSetting, seed: u64) -> Vec<SchemeRu
         }
     }
     runs
-}
-
-/// Evaluates a trained model's accuracy on the setting's test split.
-pub fn eval_on(setting: &ExperimentSetting, model: &mut dyn Layer) -> f32 {
-    let (_, test_ds) = setting_data(setting);
-    cq_train::evaluate(model, &test_ds, setting.train.batch_size)
-}
-
-/// Runs one eval forward pass so lazily-initialized quantizer scales
-/// exist (e.g. before exporting to the crossbar engine).
-pub fn warm_up(setting: &ExperimentSetting, model: &mut dyn Layer) {
-    let (_, test_ds) = setting_data(setting);
-    let batch =
-        cq_data::eval_batches(&test_ds, setting.train.batch_size.min(test_ds.len())).remove(0);
-    let _ = model.forward(&batch.images, Mode::Eval);
 }

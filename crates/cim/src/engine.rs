@@ -11,9 +11,7 @@
 //! loop with one f32 operation order — so they agree **exactly** at zero
 //! variation; integration tests enforce this.
 
-use crate::{
-    Adc, AdcDigitizer, Crossbar, HybridDigitizer, IdealDigitizer, PsumPipeline, TilingPlan,
-};
+use crate::{Adc, Crossbar, PsumPipeline, TilingPlan};
 use cq_quant::{BitSplit, QuantFormat};
 use cq_tensor::{CqRng, Tensor};
 
@@ -123,13 +121,6 @@ impl QuantizedConv {
     pub fn weight_scale(&self, g: usize, oc: usize) -> f32 {
         self.weight_scales[g * self.plan.out_ch + oc]
     }
-
-    /// Partial-sum scale of physical column (split `s`, row tile `g`,
-    /// output channel `oc`).
-    #[inline]
-    pub fn psum_scale(&self, s: usize, g: usize, oc: usize) -> f32 {
-        self.psum_scales[(s * self.plan.num_row_tiles + g) * self.plan.out_ch + oc]
-    }
 }
 
 /// A convolution layer programmed onto crossbar arrays.
@@ -224,17 +215,10 @@ impl CrossbarLayer {
     /// Panics if the input shape mismatches the plan.
     pub fn forward(&self, a_int: &Tensor) -> Tensor {
         let psums = self.pipeline.crossbar_psums(&self.arrays, a_int);
-        if self.desc.psum_quant {
-            let dig = AdcDigitizer::new(self.adc, &self.desc.psum_scales, &self.desc.plan);
-            if self.desc.digital_splits > 0 {
-                let dig = HybridDigitizer::new(dig, self.desc.digital_splits);
-                self.pipeline.reduce(&psums, &dig)
-            } else {
-                self.pipeline.reduce(&psums, &dig)
-            }
-        } else {
-            self.pipeline.reduce(&psums, &IdealDigitizer)
-        }
+        let desc = &self.desc;
+        let adc = desc.psum_quant.then_some((self.adc, &desc.psum_scales[..]));
+        self.pipeline
+            .reduce_with_adc(&psums, adc, desc.digital_splits)
     }
 }
 

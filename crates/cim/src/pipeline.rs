@@ -724,6 +724,32 @@ impl PsumPipeline {
 
     // ---- shared back-end: digitize → shift-add → merged dequant --------
 
+    /// [`reduce`](PsumPipeline::reduce) with the layer's digitizer chosen
+    /// in one place: `adc` converts every column against its dense psum
+    /// scale table (an [`AdcDigitizer`]), with the `digital_splits`
+    /// low-order splits carried around it (a [`HybridDigitizer`]) when
+    /// nonzero; `None` is the ideal bypass ([`IdealDigitizer`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scale table or `psums` disagrees with the plan.
+    pub fn reduce_with_adc(
+        &self,
+        psums: &[Tensor],
+        adc: Option<(Adc, &[f32])>,
+        digital_splits: usize,
+    ) -> Tensor {
+        let Some((adc, scales)) = adc else {
+            return self.reduce(psums, &IdealDigitizer);
+        };
+        let dig = AdcDigitizer::new(adc, scales, &self.plan);
+        if digital_splits > 0 {
+            self.reduce(psums, &HybridDigitizer::new(dig, digital_splits))
+        } else {
+            self.reduce(psums, &dig)
+        }
+    }
+
     /// The complete back-end: digitizes every physical column of the
     /// per-split partial sums, shift-and-adds across bit-splits and row
     /// tiles with the merged `s_w · s_p` dequantization, applies the

@@ -28,7 +28,7 @@
 //! layers × workers × models.
 
 use crate::pipeline::IntGroupedWeights;
-use crate::{Adc, AdcDigitizer, HybridDigitizer, IdealDigitizer, PsumPipeline, QuantizedConv};
+use crate::{Adc, PsumPipeline, QuantizedConv};
 use cq_quant::{GroupLayout, LsqQuantizer};
 use cq_tensor::{
     arena, conv_out_dim, BackendError, BackendKind, BackendSet, ConvProfile, ConvShape,
@@ -237,17 +237,11 @@ impl PreparedConv {
             );
             arena::put_f32(col);
         }
-        let y = if self.desc.psum_quant {
-            let dig = AdcDigitizer::new(self.adc, &self.desc.psum_scales, &self.desc.plan);
-            if self.desc.digital_splits > 0 {
-                let dig = HybridDigitizer::new(dig, self.desc.digital_splits);
-                self.pipeline.reduce(&psums, &dig)
-            } else {
-                self.pipeline.reduce(&psums, &dig)
-            }
-        } else {
-            self.pipeline.reduce(&psums, &IdealDigitizer)
-        };
+        let desc = &self.desc;
+        let adc = desc.psum_quant.then_some((self.adc, &desc.psum_scales[..]));
+        let y = self
+            .pipeline
+            .reduce_with_adc(&psums, adc, desc.digital_splits);
         for ps in psums {
             arena::put_tensor(ps);
         }

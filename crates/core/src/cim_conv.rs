@@ -36,8 +36,8 @@
 use std::collections::HashMap;
 
 use cq_cim::{
-    dequant_mults, Adc, AdcDigitizer, BackendError, BackendKind, BackendSet, CimConfig,
-    HybridDigitizer, IdealDigitizer, PreparedConv, PsumPipeline, QuantizedConv, TilingPlan,
+    dequant_mults, Adc, BackendError, BackendKind, BackendSet, CimConfig, PreparedConv,
+    PsumPipeline, QuantizedConv, TilingPlan,
 };
 use cq_nn::{
     accumulate_bias_grad, add_channel_bias, kaiming_conv_init, Layer, Mode, Param, ParamKind,
@@ -278,16 +278,6 @@ impl CimConv2d {
     /// The CIM configuration.
     pub fn cim_config(&self) -> &CimConfig {
         &self.cfg
-    }
-
-    /// Weight granularity.
-    pub fn weight_granularity(&self) -> Granularity {
-        self.w_gran
-    }
-
-    /// Partial-sum granularity.
-    pub fn psum_granularity(&self) -> Granularity {
-        self.p_gran
     }
 
     /// Enables/disables all quantization (full-precision passthrough when
@@ -808,17 +798,11 @@ impl CimConv2d {
         // Shared back-end: digitize → shift-add → merged dequant. The ADC
         // digitizer reproduces the LSQ psum quantizer bit-exactly (same
         // clamp-then-round grid, same dense scale resolution).
-        let y = if psum_quant_used {
-            let table = self.dense_psum_scales();
-            let dig = AdcDigitizer::new(Adc::new(self.p_quant.format()), &table, &p);
-            if self.digital_splits > 0 {
-                pipeline.reduce(&psums, &HybridDigitizer::new(dig, self.digital_splits))
-            } else {
-                pipeline.reduce(&psums, &dig)
-            }
-        } else {
-            pipeline.reduce(&psums, &IdealDigitizer)
-        };
+        let table = psum_quant_used.then(|| self.dense_psum_scales());
+        let adc = table
+            .as_deref()
+            .map(|t| (Adc::new(self.p_quant.format()), t));
+        let y = pipeline.reduce_with_adc(&psums, adc, self.digital_splits);
 
         let sw_table = self.sw_table();
         self.fp_cache = None;

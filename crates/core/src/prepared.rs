@@ -17,21 +17,23 @@
 //! bit-exact per sample.
 //!
 //! A prepared model serves through shared state (`&self`), so one model
-//! can serve many threads at once without a lock. Its policy setters
-//! (`set_max_batch`, `set_pipeline_depth`, `set_backends`) take
-//! `&mut self` and apply before the model is shared.
+//! can serve many threads at once without a lock. Its one policy setter,
+//! `set_max_batch`, takes `&mut self` and applies before the model is
+//! shared. Each frozen convolution's execution backend is fixed when it
+//! freezes (see [`CimConv2d::set_backends`](crate::CimConv2d::set_backends)
+//! to choose one before preparation).
 //!
 //! Sweeps are additionally **cross-layer pipelined** (see
-//! [`PreparedCimModel::set_pipeline_depth`]): a sweep's batch rows are
-//! split into contiguous waves that travel the network concurrently as
-//! tasks on the shared [`cq_tensor::exec`] pool, so one wave's late
-//! layers (digitize/shift-add/reduce) overlap the next wave's early
-//! layers (im2col/pack/GEMM). Because the waves are exactly the
-//! chunked-sweep decomposition, outputs stay bit-identical at every
-//! depth and pool width — pipelining reschedules work, never arithmetic.
+//! [`PreparedCimModel::infer`]): a sweep's batch rows are split into two
+//! contiguous waves that travel the network concurrently as tasks on the
+//! shared [`cq_tensor::exec`] pool, so one wave's late layers
+//! (digitize/shift-add/reduce) overlap the other wave's early layers
+//! (im2col/pack/GEMM). Because the waves are exactly the chunked-sweep
+//! decomposition, outputs stay bit-identical at every pool width —
+//! pipelining reschedules work, never arithmetic.
 
 use crate::{for_each_cim_conv, load_cim_checkpoint, CimConv2d};
-use cq_cim::{BackendError, BackendKind, BackendSet};
+use cq_cim::BackendKind;
 use cq_nn::{Conv2d, Layer};
 use cq_tensor::{exec, Tensor};
 use std::num::{NonZeroU32, NonZeroUsize};
@@ -54,22 +56,22 @@ pub fn unfreeze_model(model: &mut dyn Layer) {
     for_each_cim_conv(model, |c| c.unfreeze());
 }
 
+/// Concurrent waves a multi-row sweep is split into (see
+/// [`PreparedCimModel::infer`]): the two-stage software pipeline.
+const PIPELINE_WAVES: usize = 2;
+
 /// A trained model frozen for batched serving (see module docs).
 pub struct PreparedCimModel {
     model: Box<dyn Layer>,
     /// Upper bound on coalesced rows per forward sweep (`None` = merge
     /// everything into one sweep).
     max_batch: Option<NonZeroUsize>,
-    /// Number of concurrent waves a multi-row sweep is split into (see
-    /// [`PreparedCimModel::set_pipeline_depth`]); `1` disables pipelining.
-    pipeline_depth: usize,
     /// The scheme name (see [`PreparedCimModel::scheme`]), fixed at
     /// preparation.
     scheme: Box<str>,
-    /// Frozen CIM layers per resolved backend, refreshed by
-    /// [`PreparedCimModel::set_backends`] — the only mutation that can
-    /// change it. `u32` counts and channels keep the model, and the
-    /// serving errors that hand one back, small.
+    /// Frozen CIM layers per resolved backend, fixed at preparation.
+    /// `u32` counts and channels keep the model, and the serving errors
+    /// that hand one back, small.
     backend_layers: [u32; 3],
     /// Input channels of the first convolution (see
     /// [`PreparedCimModel::in_channels`]), fixed at preparation.
@@ -125,7 +127,6 @@ impl PreparedCimModel {
         Self {
             model,
             max_batch: None,
-            pipeline_depth: 2,
             scheme: scheme.unwrap_or_else(|| "custom".into()),
             backend_layers,
             in_channels,
@@ -161,23 +162,6 @@ impl PreparedCimModel {
         self.max_batch.map(NonZeroUsize::get)
     }
 
-    /// Sets how many concurrent **waves** a multi-row sweep is split into
-    /// (default `2`, the two-stage software pipeline; `1` disables
-    /// pipelining). Waves are contiguous row chunks that travel the whole
-    /// network concurrently as shared-eval tasks on the
-    /// [`cq_tensor::exec`] pool, so one wave's reduce overlaps the next
-    /// wave's im2col/pack. Waves are exactly the chunked-sweep
-    /// decomposition every layer already guarantees bit-exact, so outputs
-    /// are bit-identical at every depth and pool width.
-    ///
-    /// # Panics
-    ///
-    /// Panics on depth `0`.
-    pub fn set_pipeline_depth(&mut self, depth: usize) {
-        assert!(depth >= 1, "pipeline depth must be positive");
-        self.pipeline_depth = depth;
-    }
-
     /// Input channels the model's first convolution expects (`C` of a
     /// `[B, C, H, W]` input), recorded at preparation; `None` for a model
     /// without a convolution. A serving front-end checks requests against
@@ -186,20 +170,16 @@ impl PreparedCimModel {
         self.in_channels.map(|c| c.get() as usize)
     }
 
-    /// The active wave count — the introspection counterpart of
-    /// [`set_pipeline_depth`](PreparedCimModel::set_pipeline_depth).
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth
-    }
-
     /// Serves one already-batched tensor `[B, C, H, W]` through shared
     /// state (`&self`): several threads may call this concurrently on one
-    /// prepared model. A single row, or depth 1, is one shared-eval
-    /// forward; otherwise the rows are split into
-    /// [`set_pipeline_depth`](Self::set_pipeline_depth) contiguous waves
-    /// that run that forward concurrently as pool tasks. Bit-identical to
-    /// the unprepared eval forward at every depth; it does **not** apply
-    /// `max_batch` chunking (see [`infer_batch`](Self::infer_batch)).
+    /// prepared model. A single row is one shared-eval forward; more rows
+    /// are split into two contiguous **waves** that run that forward
+    /// concurrently as pool tasks, so one wave's reduce overlaps the
+    /// other's im2col/pack. Waves are exactly the chunked-sweep
+    /// decomposition every layer already guarantees bit-exact, so the
+    /// output is bit-identical to the unprepared eval forward at every
+    /// pool width; it does **not** apply `max_batch` chunking (see
+    /// [`infer_batch`](Self::infer_batch)).
     ///
     /// # Panics
     ///
@@ -208,8 +188,8 @@ impl PreparedCimModel {
     /// frozen at preparation and every other layer is stateless in eval).
     pub fn infer(&self, images: &Tensor) -> Tensor {
         let b = images.dim(0);
-        let depth = self.pipeline_depth.min(b).max(1);
-        if depth == 1 {
+        let waves = PIPELINE_WAVES.min(b).max(1);
+        if waves == 1 {
             return self
                 .model
                 .forward_shared(images)
@@ -218,8 +198,8 @@ impl PreparedCimModel {
         // Contiguous waves; wave w+1's early layers overlap wave w's late
         // layers on the pool. Rejoined by concatenation in row order, so
         // this is exactly the (bit-exact) chunked-sweep decomposition.
-        let per = b.div_ceil(depth);
-        let mut outs: Vec<Option<Tensor>> = (0..depth).map(|_| None).collect();
+        let per = b.div_ceil(waves);
+        let mut outs: Vec<Option<Tensor>> = (0..waves).map(|_| None).collect();
         exec::scope(|sc| {
             for (wi, out) in outs.iter_mut().enumerate() {
                 let (lo, hi) = (wi * per, ((wi + 1) * per).min(b));
@@ -242,34 +222,6 @@ impl PreparedCimModel {
             parts.into_iter().next().unwrap()
         } else {
             Tensor::concat_outer(&parts.iter().collect::<Vec<_>>())
-        }
-    }
-
-    /// Selects the execution-backend chain of every frozen CIM
-    /// convolution (see [`crate::CimConv2d::set_backends`]): each layer
-    /// resolves the first chain entry whose capability probe accepts it
-    /// (e.g. [`BackendSet::auto`] runs the repacked `i8×i8→i32` panel
-    /// kernels when a layer's frozen slices are integer-exact and the f32
-    /// kernels otherwise). Outputs are bit-identical on every backend —
-    /// the choice is pure speed.
-    ///
-    /// # Errors
-    ///
-    /// The first [`BackendError`] encountered when a layer rejects the
-    /// chain (e.g. [`BackendSet::int`] with variation-perturbed slices).
-    /// Layers visited before the failing one keep the new chain; callers
-    /// treating the error as fatal should re-apply a known-good chain.
-    pub fn set_backends(&mut self, backends: BackendSet) -> Result<(), BackendError> {
-        let mut err = None;
-        for_each_cim_conv(self.model.as_mut(), |c| {
-            if let Err(e) = c.set_backends(backends.clone()) {
-                err.get_or_insert(e);
-            }
-        });
-        self.backend_layers = backend_layer_counts(self.model.as_mut());
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
         }
     }
 
@@ -497,22 +449,21 @@ mod tests {
     }
 
     /// Cross-layer pipelined waves must be bit-identical to the plain
-    /// (depth-1) forward at every pipeline depth — including depths above
-    /// the batch — and every executor pool width.
+    /// unprepared forward at every executor pool width, for an odd batch
+    /// (uneven waves) and a single row (no waves).
     #[test]
     fn pipelined_waves_are_bit_exact_across_pool_widths() {
         let mut net = warmed_net(13);
         let x = CqRng::new(14).normal_tensor(&[5, 3, 12, 12], 1.0);
+        let row = x.slice_outer(0, 1);
         let want = net.forward(&x, Mode::Eval);
-        let mut pm = PreparedCimModel::new(Box::new(net));
+        let want_row = net.forward(&row, Mode::Eval);
+        let pm = PreparedCimModel::new(Box::new(net));
         for width in [1usize, 2, 4] {
             let pool = cq_tensor::exec::ExecPool::with_threads(width);
             pool.install(|| {
-                for depth in [1usize, 2, 3, 8] {
-                    pm.set_pipeline_depth(depth);
-                    assert_eq!(pm.pipeline_depth(), depth);
-                    assert_eq!(pm.infer(&x), want, "width={width} depth={depth}");
-                }
+                assert_eq!(pm.infer(&x), want, "width={width}");
+                assert_eq!(pm.infer(&row), want_row, "width={width} single row");
             });
         }
     }

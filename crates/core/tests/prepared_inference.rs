@@ -6,13 +6,12 @@
 //!
 //! The one way a frozen sweep runs in parallel — pool-scheduled kernel
 //! work items plus cross-layer wave pipelining — is pinned here too: every
-//! backend chain × pipeline depth × executor pool width reproduces the
-//! same bits.
+//! backend chain × executor pool width reproduces the same bits.
 
 use cq_cim::CimConfig;
 use cq_core::{
-    build_cim_resnet, set_psum_quant_enabled, set_variation, BackendSet, CimConv2d,
-    PreparedCimModel, QuantScheme, VariationCfg, VariationMode,
+    build_cim_resnet, for_each_cim_conv, set_psum_quant_enabled, set_variation, BackendSet,
+    CimConv2d, PreparedCimModel, QuantScheme, VariationCfg, VariationMode,
 };
 use cq_nn::{Layer, Mode, ResNetSpec};
 use cq_quant::Granularity;
@@ -250,10 +249,17 @@ fn prepared_model_idempotent_and_coalescing_exact() {
     assert_eq!(pm.infer_batch(&requests), want, "chunked sweep diverged");
 }
 
-/// A whole CIM ResNet-8 frozen for serving: psq on/off, one granularity
-/// for weights and psums, optionally with per-cell device variation baked
-/// into the frozen weights, every lazy scale initialized.
-fn prepared_model(psq: bool, gran: Granularity, variation: bool, seed: u64) -> PreparedCimModel {
+/// A whole CIM ResNet-8 frozen for serving on the `backends` chain: psq
+/// on/off, one granularity for weights and psums, optionally with
+/// per-cell device variation baked into the frozen weights, every lazy
+/// scale initialized.
+fn prepared_model(
+    psq: bool,
+    gran: Granularity,
+    variation: bool,
+    seed: u64,
+    backends: &BackendSet,
+) -> PreparedCimModel {
     let mut net = build_cim_resnet(
         ResNetSpec::resnet8(4, 4),
         &CimConfig::tiny(),
@@ -268,6 +274,8 @@ fn prepared_model(psq: bool, gran: Granularity, variation: bool, seed: u64) -> P
     }
     let warm = CqRng::new(seed + 1000).normal_tensor(&[2, 3, 12, 12], 1.0);
     let _ = net.forward(&warm, Mode::Eval);
+    // The chain is resolved as each layer freezes inside `new`.
+    for_each_cim_conv(&mut net, |c| c.set_backends(backends.clone()).unwrap());
     PreparedCimModel::new(Box::new(net))
 }
 
@@ -281,12 +289,12 @@ fn mixed_requests(seed: u64) -> [Tensor; 2] {
     ]
 }
 
-/// psq {off, on} × granularity × {clean, variation} × backend chain ×
-/// pipeline depth {1, 2, 3}: every cell of the pipelined whole-model
-/// engine must equal the unpipelined forced-f32 oracle bit-for-bit, on the
-/// coalescing `infer_batch` and on the single-tensor `infer`. Under the `auto` chain clean
-/// cells run the integer panels in every conv and variation cells fall
-/// back to f32 in every conv.
+/// psq {off, on} × granularity × {clean, variation} × backend chain:
+/// every cell of the pipelined whole-model engine must equal the
+/// unpipelined forced-f32 oracle (one single-row forward per row)
+/// bit-for-bit, on the coalescing `infer_batch` and on the single-tensor
+/// `infer`. Under the `auto` chain clean cells run the integer panels in
+/// every conv and variation cells fall back to f32 in every conv.
 #[test]
 fn pipelined_model_matrix_is_bit_exact_on_every_backend() {
     let mut seed = 9000;
@@ -295,13 +303,19 @@ fn pipelined_model_matrix_is_bit_exact_on_every_backend() {
             for variation in [false, true] {
                 let ctx = format!("psq={psq} gran={gran} variation={variation}");
                 let requests = mixed_requests(seed + 2000);
-                let mut pm = prepared_model(psq, gran, variation, seed);
-                pm.set_max_batch(Some(3));
-                pm.set_backends(BackendSet::f32()).unwrap();
-                pm.set_pipeline_depth(1);
-                let want = pm.infer_batch(&requests);
+                let oracle = prepared_model(psq, gran, variation, seed, &BackendSet::f32());
+                let want: Vec<Tensor> = requests
+                    .iter()
+                    .map(|r| {
+                        let rows: Vec<Tensor> = (0..r.dim(0))
+                            .map(|i| oracle.infer(&r.slice_outer(i, i + 1)))
+                            .collect();
+                        Tensor::concat_outer(&rows.iter().collect::<Vec<_>>())
+                    })
+                    .collect();
                 for backends in [BackendSet::f32(), BackendSet::auto(), BackendSet::scalar()] {
-                    pm.set_backends(backends.clone()).unwrap();
+                    let mut pm = prepared_model(psq, gran, variation, seed, &backends);
+                    pm.set_max_batch(Some(3));
                     let (active, total) = pm.count_integer_kernels();
                     assert!(total > 0, "{ctx}: no frozen convs counted");
                     let expect = if backends == BackendSet::auto() && !variation {
@@ -310,13 +324,10 @@ fn pipelined_model_matrix_is_bit_exact_on_every_backend() {
                         0
                     };
                     assert_eq!(active, expect, "{ctx} {backends:?}: integer-kernel count");
-                    for depth in [1usize, 2, 3] {
-                        pm.set_pipeline_depth(depth);
-                        let ctx = format!("{ctx} {backends:?} depth={depth}");
-                        assert_eq!(pm.infer_batch(&requests), want, "{ctx}: infer_batch");
-                        for (req, w) in requests.iter().zip(&want) {
-                            assert_eq!(&pm.infer(req), w, "{ctx}: infer");
-                        }
+                    let ctx = format!("{ctx} {backends:?}");
+                    assert_eq!(pm.infer_batch(&requests), want, "{ctx}: infer_batch");
+                    for (req, w) in requests.iter().zip(&want) {
+                        assert_eq!(&pm.infer(req), w, "{ctx}: infer");
                     }
                 }
                 seed += 100;
@@ -339,9 +350,14 @@ fn pipelined_cell_is_bit_exact_at_every_pool_width() {
         let pool = cq_tensor::exec::ExecPool::with_threads(width);
         let got = pool.install(|| {
             // Rebuilt per width: construction is deterministic per seed.
-            let mut pm = prepared_model(true, Granularity::Column, false, 31415);
+            let mut pm = prepared_model(
+                true,
+                Granularity::Column,
+                false,
+                31415,
+                &BackendSet::standard(),
+            );
             pm.set_max_batch(Some(3));
-            pm.set_pipeline_depth(3);
             let got = pm.infer_batch(&requests);
             assert_eq!(
                 got,

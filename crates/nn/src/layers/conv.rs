@@ -47,11 +47,6 @@ impl Conv2d {
         &self.weight.value
     }
 
-    /// Mutable weight access (tests, surgery).
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        &mut self.weight.value
-    }
-
     /// Stride.
     pub fn stride(&self) -> usize {
         self.stride

@@ -57,11 +57,6 @@ impl Sgd {
             }
         });
     }
-
-    /// Drops all momentum state (used when switching QAT stages).
-    pub fn reset_state(&mut self) {
-        self.velocity.clear();
-    }
 }
 
 /// Learning-rate schedules.

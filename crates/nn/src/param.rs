@@ -62,11 +62,6 @@ impl Param {
             grad: self.grad.data_mut(),
         });
     }
-
-    /// Zeroes the gradient.
-    pub fn zero_grad(&mut self) {
-        self.grad.fill(0.0);
-    }
 }
 
 /// Forward/backward execution mode.

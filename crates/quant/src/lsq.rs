@@ -89,11 +89,6 @@ impl LsqQuantizer {
         &self.scale_grads
     }
 
-    /// Mutable access to scale gradients (for the optimizer).
-    pub fn scale_grads_mut(&mut self) -> &mut [f32] {
-        &mut self.scale_grads
-    }
-
     /// Simultaneous mutable access to scales and their gradients (for
     /// exposing both as one optimizer parameter).
     pub fn scales_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {

@@ -46,11 +46,6 @@ impl QuantFormat {
         self.bits
     }
 
-    /// Whether the format is signed.
-    pub fn is_signed(&self) -> bool {
-        self.signed
-    }
-
     /// Whether this is the binary `{-1, +1}` format (signed, 1 bit).
     pub fn is_binary(&self) -> bool {
         self.signed && self.bits == 1

@@ -14,7 +14,7 @@
 //! Every resolution path returns the same [`Completed`] a blocking
 //! [`Ticket::wait`] would have: the output tensor is moved, never
 //! recomputed or copied, so multiplexed completion is trivially
-//! bit-identical (and `tests/slo_stress.rs` pins it anyway).
+//! bit-identical (and `tests/completion_stress.rs` pins it anyway).
 
 use crate::queue::{Completed, Ticket};
 use std::collections::VecDeque;
@@ -160,18 +160,24 @@ impl CompletionSet {
         if self.outstanding == 0 {
             return None;
         }
-        let deadline = Instant::now() + timeout;
+        let start = Instant::now();
         let mut ready = self.list.ready.lock().unwrap();
         loop {
             if let Some(key) = ready.pop_front() {
                 drop(ready);
                 return Some(self.resolve(key));
             }
-            let now = Instant::now();
-            if now >= deadline {
+            // Elapsed against `timeout` (no `now + timeout` overflow).
+            let waited = start.elapsed();
+            if waited >= timeout {
                 return None;
             }
-            ready = self.list.cv.wait_timeout(ready, deadline - now).unwrap().0;
+            ready = self
+                .list
+                .cv
+                .wait_timeout(ready, timeout - waited)
+                .unwrap()
+                .0;
         }
     }
 

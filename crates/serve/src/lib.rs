@@ -39,7 +39,7 @@
 //! [`PreparedCimModel`] on the same input: the front-end only reorders
 //! *which sweep* a request rides in, and every layer processes batch
 //! elements independently with a fixed f32 operation order
-//! (`tests/serving.rs`, `tests/slo_stress.rs`, and the `cq-core`
+//! (`tests/serving.rs`, `tests/completion_stress.rs`, and the `cq-core`
 //! `engine_equivalence` / `prepared_inference` tests pin this). The same
 //! holds across **resolution paths**: [`Ticket::wait`],
 //! [`Ticket::try_wait`], [`Ticket::wait_timeout`], and
@@ -60,11 +60,13 @@
 //! model or different ones: a frozen model serves through `&self`, so no
 //! worker waits on another's sweep. Inside
 //! a sweep there is exactly one mechanism: the frozen engine splits the
-//! rows into cross-layer pipeline waves
-//! ([`PreparedCimModel::set_pipeline_depth`]) and every conv schedules its
+//! rows into two cross-layer pipeline waves (see
+//! [`PreparedCimModel::infer`]) and every conv schedules its
 //! `image × row-tile` work items, all as tasks on the one
 //! `CQ_THREADS`-capped `cq_tensor::exec` pool, so compute never
-//! oversubscribes the host however many workers run.
+//! oversubscribes the host however many workers run. Each frozen layer
+//! runs the execution backend it resolved at freeze; serving never
+//! re-selects it.
 //!
 //! **Hot-swap.** A *running* session is reconfigurable:
 //! [`ServeSession::register`] installs a new model (routable the moment
@@ -157,9 +159,9 @@ mod session;
 
 pub use completion::{CompletionSet, TicketKey};
 pub use config::{ConfigError, ServeConfig, ServeConfigBuilder};
-// Re-exported so `ServeSession::shutdown`'s return type is nameable from
-// this crate alone.
-pub use cq_core::{BackendError, BackendKind, BackendSet, PreparedCimModel};
+// Re-exported so `ServeSession::shutdown`'s return type and the
+// per-backend counters are nameable from this crate alone.
+pub use cq_core::{BackendKind, PreparedCimModel};
 pub use metrics::{LatencyHistogram, ModelStats, HISTOGRAM_BUCKETS};
 pub use queue::{Admission, BackendStats, Completed, ServeStats, SubmitError, Ticket};
 pub use registry::{EvictTicket, ModelId, ModelRegistry, SwapError};

@@ -182,17 +182,20 @@ impl ResponseSlot {
     }
 
     fn take_timeout(&self, timeout: Duration) -> Option<(Tensor, Instant)> {
-        let deadline = Instant::now() + timeout;
+        let start = Instant::now();
         let mut st = self.state.lock().unwrap();
         loop {
             if let Some(done) = Self::take(&mut st) {
                 return Some(done);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            // Elapsed time against the timeout, never `now + timeout`,
+            // which overflows for a "forever" timeout such as
+            // `Duration::MAX`.
+            let waited = start.elapsed();
+            if waited >= timeout {
                 return None;
             }
-            st = self.ready.wait_timeout(st, deadline - now).unwrap().0;
+            st = self.ready.wait_timeout(st, timeout - waited).unwrap().0;
         }
     }
 }
@@ -411,17 +414,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Fraction of deadline-carrying fulfilments that missed (`0.0` when
-    /// no fulfilment carried a deadline) — deadline-less traffic does not
-    /// dilute the rate.
-    pub fn deadline_miss_rate(&self) -> f64 {
-        if self.with_deadline == 0 {
-            0.0
-        } else {
-            self.missed as f64 / self.with_deadline as f64
-        }
-    }
-
     /// Images swept per quantization scheme, aggregated over
     /// [`models`](ServeStats::models) in first-seen (slot) order — the
     /// per-scheme attribution the scheme zoo's A/B serving runs read.
@@ -881,6 +873,25 @@ mod tests {
         assert_eq!(done.output, Tensor::zeros(&[2]));
     }
 
+    /// `Duration::MAX` is a usable "wait forever": `wait_timeout` blocks
+    /// until a later fulfilment instead of overflowing `Instant + timeout`.
+    /// The result is the same whichever side runs first; the pause only
+    /// makes the wait usually block.
+    #[test]
+    fn ticket_wait_timeout_accepts_duration_max() {
+        let slot = Arc::new(ResponseSlot::new());
+        let ticket = Ticket::new(slot.clone(), None);
+        let fulfiller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            slot.fulfill(Tensor::zeros(&[2]));
+        });
+        let done = ticket
+            .wait_timeout(Duration::MAX)
+            .expect("a forever wait never times out");
+        assert_eq!(done.output, Tensor::zeros(&[2]));
+        fulfiller.join().unwrap();
+    }
+
     /// An abandoned ticket panics through `try_wait` too — pollable paths
     /// share the loud-failure contract.
     #[test]
@@ -919,6 +930,26 @@ mod tests {
         assert!(set.is_empty());
         assert_eq!(keys.len(), 3);
         assert!(set.try_any().is_none(), "drained set yields nothing");
+    }
+
+    /// `wait_any_timeout(Duration::MAX)` blocks until a member resolves
+    /// instead of overflowing `Instant + timeout` (either order of the
+    /// two threads gives the same result).
+    #[test]
+    fn completion_set_wait_any_timeout_accepts_duration_max() {
+        let slot = Arc::new(ResponseSlot::new());
+        let mut set = CompletionSet::new();
+        let key = set.insert(Ticket::new(slot.clone(), None));
+        let fulfiller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            slot.fulfill(Tensor::zeros(&[3]));
+        });
+        let (got, done) = set
+            .wait_any_timeout(Duration::MAX)
+            .expect("a forever wait never times out");
+        assert_eq!((got, done.output), (key, Tensor::zeros(&[3])));
+        assert!(set.is_empty());
+        fulfiller.join().unwrap();
     }
 
     /// `wait_any_timeout` gives up when nothing resolves, then delivers

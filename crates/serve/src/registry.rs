@@ -24,9 +24,8 @@
 //! a name can be re-registered after eviction (lookup resolves to the
 //! newest live slot).
 
-use crate::config::ServeConfig;
 use crate::queue::SubmitError;
-use cq_core::{BackendError, BackendKind, PreparedCimModel};
+use cq_core::{BackendKind, PreparedCimModel};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -52,27 +51,9 @@ pub enum SwapError {
         /// The model that was not registered.
         model: PreparedCimModel,
     },
-    /// The session's [`ServeConfig::scheme_allowlist`](crate::ServeConfig)
-    /// does not admit the offered model's quantization scheme; the model
-    /// is handed back untouched.
-    SchemeNotAllowed {
-        /// The refused model's scheme name.
-        scheme: String,
-        /// The model that was not registered.
-        model: PreparedCimModel,
-    },
     /// No live model with this name (already evicted, or never
     /// registered).
     UnknownModel(String),
-    /// The session's configured backend chain cannot execute the offered
-    /// model; it is handed back (with whatever chain prefix installed —
-    /// re-register after re-freezing or fixing the chain).
-    Backend {
-        /// The install failure.
-        error: BackendError,
-        /// The model that was not registered.
-        model: PreparedCimModel,
-    },
 }
 
 impl std::fmt::Debug for SwapError {
@@ -87,15 +68,7 @@ impl std::fmt::Debug for SwapError {
                 .field("name", name)
                 .field("existing_scheme", existing_scheme)
                 .finish_non_exhaustive(),
-            SwapError::SchemeNotAllowed { scheme, .. } => f
-                .debug_struct("SchemeNotAllowed")
-                .field("scheme", scheme)
-                .finish_non_exhaustive(),
             SwapError::UnknownModel(name) => f.debug_tuple("UnknownModel").field(name).finish(),
-            SwapError::Backend { error, .. } => f
-                .debug_struct("Backend")
-                .field("error", error)
-                .finish_non_exhaustive(),
         }
     }
 }
@@ -113,16 +86,7 @@ impl std::fmt::Display for SwapError {
                     "a live model named '{name}' (scheme '{existing_scheme}') is already registered"
                 )
             }
-            SwapError::SchemeNotAllowed { scheme, .. } => {
-                write!(
-                    f,
-                    "scheme '{scheme}' is not in the session's scheme allowlist"
-                )
-            }
             SwapError::UnknownModel(name) => write!(f, "no live model named '{name}'"),
-            SwapError::Backend { error, .. } => {
-                write!(f, "backend chain cannot execute the model: {error}")
-            }
         }
     }
 }
@@ -195,21 +159,22 @@ impl EvictTicket {
     /// Blocks for at most `timeout`: `Ok(model)` when it drained in time,
     /// `Err(self)` on timeout.
     pub fn wait_timeout(self, timeout: Duration) -> Result<PreparedCimModel, EvictTicket> {
-        let deadline = Instant::now() + timeout;
+        let start = Instant::now();
         let mut slot = self.state.model.lock().unwrap();
         loop {
             if let Some(model) = slot.take() {
                 return Ok(model);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            // Elapsed against `timeout` (no `now + timeout` overflow).
+            let waited = start.elapsed();
+            if waited >= timeout {
                 drop(slot);
                 return Err(self);
             }
             slot = self
                 .state
                 .ready
-                .wait_timeout(slot, deadline - now)
+                .wait_timeout(slot, timeout - waited)
                 .unwrap()
                 .0;
         }
@@ -283,22 +248,6 @@ impl Slot {
     fn read<T>(&self, f: impl FnOnce(&PreparedCimModel) -> T) -> Option<T> {
         self.model.lock().unwrap().as_deref().map(f)
     }
-}
-
-/// Installs `cfg`'s freeze-time policy on `model`: its sweep cap
-/// (`cfg.max_batch`) and its execution-backend chain (`cfg.backends`).
-/// The one place a session's policy reaches a model, before the model is
-/// shared with workers.
-///
-/// # Errors
-///
-/// The [`BackendError`] of a layer the chain cannot execute.
-pub(crate) fn install_policy(
-    model: &mut PreparedCimModel,
-    cfg: &ServeConfig,
-) -> Result<(), BackendError> {
-    model.set_max_batch(cfg.max_batch);
-    model.set_backends(cfg.backends.clone())
 }
 
 /// The resident model set of a [`CimServer`](crate::CimServer) — and, on
@@ -585,25 +534,17 @@ impl ModelRegistry {
             .expect("model evicted with requests in flight")
     }
 
-    /// Installs `cfg`'s policy on every resident model before a session
-    /// starts (see [`install_policy`]).
-    ///
-    /// # Errors
-    ///
-    /// The first [`BackendError`] hit; every model is still attempted, so
-    /// on error some models may carry the new chain and others their old
-    /// one — re-install a satisfiable chain to restore uniformity.
-    pub(crate) fn install(&mut self, cfg: &ServeConfig) -> Result<(), BackendError> {
-        let mut first_err = None;
+    /// Sets every resident model's sweep cap before a session starts; a
+    /// live registration sets it on the incoming model (see
+    /// [`ServeSession::register`](crate::ServeSession::register)).
+    pub(crate) fn set_max_batch(&mut self, max_batch: Option<usize>) {
         for slot in self.slots() {
             if let Some(model) = slot.model.lock().unwrap().as_mut() {
-                let model = Arc::get_mut(model).expect("model shared before its session started");
-                if let Err(e) = install_policy(model, cfg) {
-                    first_err.get_or_insert(e);
-                }
+                Arc::get_mut(model)
+                    .expect("model shared before its session started")
+                    .set_max_batch(max_batch);
             }
         }
-        first_err.map_or(Ok(()), Err)
     }
 
     /// The primary (most-common active) backend of each **live** resident
@@ -727,6 +668,28 @@ mod tests {
             .wait_timeout(Duration::from_secs(5))
             .expect("drained after release");
         drop(model);
+    }
+
+    /// `Duration::MAX` is a usable "wait forever": the evict ticket blocks
+    /// until the last in-flight request drains instead of overflowing
+    /// `Instant + timeout` (either order of the two threads gives the
+    /// same result).
+    #[test]
+    fn evict_ticket_wait_timeout_accepts_duration_max() {
+        let mut registry = ModelRegistry::new();
+        let id = registry.register("m", tiny_model());
+        registry.admit(id).unwrap();
+        let ticket = registry.evict("m").unwrap();
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                registry.release(id);
+            });
+            let model = ticket
+                .wait_timeout(Duration::MAX)
+                .expect("a forever wait never times out");
+            assert_eq!(model.scheme(), "paper-lsq-column");
+        });
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! models and the active policy, and turns into running
 //! [`ServeSession`]s.
 
-use crate::config::{ConfigError, ServeConfig};
+use crate::config::ServeConfig;
 use crate::registry::ModelRegistry;
 use crate::session::ServeSession;
 
@@ -23,22 +23,20 @@ pub struct CimServer {
 
 impl CimServer {
     /// Creates a server over `registry`; every resident model's sweep cap
-    /// is set to `cfg.max_batch` and its execution-backend chain to
-    /// `cfg.backends`.
+    /// is set to `cfg.max_batch`. Each model keeps the execution backends
+    /// its layers resolved at freeze. A different policy means a new
+    /// server over [`into_models`](CimServer::into_models).
     ///
     /// # Panics
     ///
-    /// Panics if the registry is empty, `cfg` is invalid (see
+    /// Panics if the registry is empty or `cfg` is invalid (see
     /// [`ServeConfig::validate`] — [`ServeConfig::builder`] surfaces the
-    /// same violations as recoverable [`ConfigError`]s instead), or the
-    /// backend chain cannot execute some resident layer (e.g. a bare
-    /// `int` chain over a model frozen under variation).
+    /// same violations as recoverable
+    /// [`ConfigError`](crate::ConfigError)s instead).
     pub fn new(mut registry: ModelRegistry, cfg: ServeConfig) -> Self {
         assert!(!registry.is_empty(), "registry has no models");
         cfg.validate().expect("invalid serve config");
-        registry
-            .install(&cfg)
-            .expect("configured backend chain cannot execute a resident model");
+        registry.set_max_batch(cfg.max_batch);
         Self { registry, cfg }
     }
 
@@ -50,29 +48,6 @@ impl CimServer {
     /// The active policy.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
-    }
-
-    /// Swaps the serving policy **between sessions** (e.g. a benchmark
-    /// sweeping admission modes over one resident model set); resident
-    /// models get the new sweep cap and backend chain.
-    ///
-    /// The new policy takes effect for the next session only: a session
-    /// snapshots the policy when it starts (its queue, workers, and
-    /// schedulers are built from that snapshot), and
-    /// [`start`](CimServer::start) consumes the server, so a running
-    /// session can never be reconfigured.
-    ///
-    /// # Errors
-    ///
-    /// The violated invariant for an invalid `cfg`, or
-    /// [`ConfigError::Backend`] when the new backend chain cannot execute
-    /// some resident layer (models already re-chained keep the new chain;
-    /// re-install a satisfiable one to restore uniformity).
-    pub fn set_config(&mut self, cfg: ServeConfig) -> Result<(), ConfigError> {
-        cfg.validate()?;
-        self.registry.install(&cfg)?;
-        self.cfg = cfg;
-        Ok(())
     }
 
     /// Starts an owned serving session: spawns the worker threads and

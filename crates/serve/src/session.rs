@@ -23,7 +23,7 @@ use crate::metrics::ModelStats;
 use crate::queue::{
     BatchScheduler, QueuedRequest, RequestQueue, ResponseSlot, ServeStats, SubmitError, Ticket,
 };
-use crate::registry::{install_policy, EvictTicket, ModelId, ModelRegistry, SwapError};
+use crate::registry::{EvictTicket, ModelId, ModelRegistry, SwapError};
 use crate::request::{Request, Target};
 use cq_core::{BackendKind, PreparedCimModel};
 use std::any::Any;
@@ -151,33 +151,24 @@ impl ServeSession {
     }
 
     /// Registers `model` under `name` on the **running** session: the
-    /// session's freeze-time knobs (`max_batch`, the backend chain) are
-    /// installed on it, and new submissions can route to it the moment
-    /// this returns. Names are reusable after eviction — lookup always
-    /// resolves to the newest live model.
+    /// session's sweep cap (`max_batch`) is installed on it, and new
+    /// submissions can route to it the moment this returns. The model
+    /// keeps the execution backends its layers resolved at freeze. Names
+    /// are reusable after eviction — lookup always resolves to the newest
+    /// live model.
     ///
     /// # Errors
     ///
     /// [`SwapError::DuplicateName`] when a live model already holds
     /// `name` (same or different quantization scheme — never a silent
-    /// overwrite), [`SwapError::SchemeNotAllowed`] when the session's
-    /// [`ServeConfig::scheme_allowlist`] refuses the model's scheme, and
-    /// [`SwapError::Backend`] when the session's backend chain cannot
-    /// execute the model — all hand the model back.
+    /// overwrite); the model is handed back.
     pub fn register(
         &self,
         name: impl Into<String>,
         mut model: PreparedCimModel,
     ) -> Result<ModelId, SwapError> {
         let shared = &self.inner().shared;
-        let allowlist = &shared.cfg.scheme_allowlist;
-        if !allowlist.is_empty() && !allowlist.iter().any(|s| s == model.scheme()) {
-            let scheme = model.scheme().to_string();
-            return Err(SwapError::SchemeNotAllowed { scheme, model });
-        }
-        if let Err(error) = install_policy(&mut model, &shared.cfg) {
-            return Err(SwapError::Backend { error, model });
-        }
+        model.set_max_batch(shared.cfg.max_batch);
         let id = shared.registry.register_live(name, model)?;
         shared.queue.note_hot_register();
         Ok(id)

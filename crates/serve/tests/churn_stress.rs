@@ -397,40 +397,3 @@ fn cross_scheme_hot_swap_stays_version_exact_and_attributes_schemes() {
     assert!(prom.contains("cq_serve_scheme_images_total{scheme=\"bwma\"} 5"));
     assert!(prom.contains("scheme=\"paper-lsq-column\""));
 }
-
-/// A non-empty `scheme_allowlist` refuses out-of-list schemes on live
-/// registration with a recoverable error that hands the model back;
-/// allowed schemes register normally.
-#[test]
-fn scheme_allowlist_gates_live_registration_recoverably() {
-    let mut registry = ModelRegistry::new();
-    registry.register("seed", prepared(409));
-    let session = CimServer::new(
-        registry,
-        ServeConfig::builder()
-            .workers(1)
-            .scheme_allowlist(["paper-lsq-column"])
-            .build()
-            .unwrap(),
-    )
-    .start();
-
-    let model = match session.register("m", prepared_with(410, &QuantScheme::bwma())) {
-        Err(cq_serve::SwapError::SchemeNotAllowed { scheme, model }) => {
-            assert_eq!(scheme, "bwma");
-            model // handed back untouched — reusable elsewhere
-        }
-        other => panic!("out-of-list scheme must be refused, got {other:?}"),
-    };
-    drop(model);
-
-    session
-        .register("m", prepared_with(411, &QuantScheme::ours()))
-        .expect("allowlisted scheme registers");
-    let x = CqRng::new(5).normal_tensor(&[1, 3, 12, 12], 1.0);
-    let done = session.submit(Request::to("m").batch(x)).unwrap().wait();
-    assert_eq!(done.output.shape(), &[1, 4]);
-    let (stats, models) = session.shutdown();
-    assert_eq!(stats.served, 1);
-    assert_eq!(models.len(), 2, "seed model and the allowlisted register");
-}

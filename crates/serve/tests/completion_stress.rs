@@ -46,7 +46,7 @@ fn request(rng: &mut CqRng, batch: usize) -> Tensor {
 /// every ticket with a correctly-shaped output (no lost wakeup, no lost
 /// ticket), and keep exact deadline accounting.
 #[test]
-fn mixed_slo_stress_no_deadlock_no_lost_tickets() {
+fn mixed_resolution_stress_no_deadlock_no_lost_tickets() {
     const PRODUCERS: u64 = 4;
     const PER_PRODUCER: usize = 12;
 

@@ -4,11 +4,11 @@
 //! the direct `PreparedCimModel::infer` result.
 
 use cq_cim::CimConfig;
-use cq_core::{build_cim_resnet, PreparedCimModel, QuantScheme};
+use cq_core::{build_cim_resnet, for_each_cim_conv, BackendSet, PreparedCimModel, QuantScheme};
 use cq_nn::{Layer, Mode, ResNet, ResNetSpec};
 use cq_serve::{
-    Admission, BackendKind, BackendSet, CimServer, ConfigError, ModelRegistry, Request,
-    ServeConfig, ServeSession, ServeStats, SubmitError, Ticket,
+    Admission, BackendKind, CimServer, ModelRegistry, Request, ServeConfig, ServeSession,
+    ServeStats, SubmitError, Ticket,
 };
 use cq_tensor::{CqRng, Tensor};
 use std::time::Duration;
@@ -287,40 +287,6 @@ fn stats_scrape_runs_concurrently_with_serving() {
             .contains("\ncq_serve_latency_seconds_count 30\n"),
         "the histogram renders unlabelled, with no empty braces"
     );
-}
-
-/// `set_config` rejects invalid configs loudly and applies cleanly
-/// between sessions.
-#[test]
-fn set_config_validates_and_is_sessions_only() {
-    let mut registry = ModelRegistry::new();
-    registry.register("m", prepared(8));
-    let mut server = CimServer::new(registry, ServeConfig::default());
-    // The builder refuses invalid configs; construct the invalid value
-    // directly (fields are public precisely so tests can) to exercise
-    // `set_config`'s own validation path.
-    let invalid = ServeConfig {
-        workers: 0,
-        ..ServeConfig::default()
-    };
-    assert_eq!(
-        server.set_config(invalid),
-        Err(ConfigError::ZeroWorkers),
-        "invalid config must be rejected, not asserted"
-    );
-    // Between sessions, reconfiguration succeeds and the policy sticks.
-    let cfg = ServeConfig::builder().workers(3).build().unwrap();
-    server.set_config(cfg).unwrap();
-    assert_eq!(server.config().workers, 3);
-    let (stats, models) = server.start().shutdown();
-    assert_eq!(stats.submitted, 0);
-    assert_eq!(stats.workers, 3, "the session ran under the new policy");
-    // The handed-back models make a server that reconfigures again.
-    let mut server = CimServer::new(ModelRegistry::from_models(models), ServeConfig::default());
-    server
-        .set_config(ServeConfig::builder().workers(1).build().unwrap())
-        .unwrap();
-    assert_eq!(server.config().workers, 1);
 }
 
 /// Reject admission bounds the queue: some of a fast burst is shed, the
@@ -687,22 +653,26 @@ fn single_worker_serves_oversized_request_bit_exactly() {
 /// lands on the model's primary backend and nowhere else,
 /// `active_layers` mirrors the model's resolved layer counts until it is
 /// evicted, and the Prometheus rendering carries the sweep counters. Run
-/// under the scalar chain and the auto chain (the default without
-/// `CQ_BACKEND`).
+/// with the layers frozen on the scalar chain and on the auto chain (the
+/// default without `CQ_BACKEND`).
 #[test]
 fn backend_counters_attribute_sweeps_to_the_primary_backend() {
     for (backends, primary) in [
         (BackendSet::scalar(), BackendKind::Scalar),
         (BackendSet::auto(), BackendKind::IntPanels),
     ] {
+        let prepared_on = |backends: &BackendSet| {
+            let mut net = warmed_net(70);
+            for_each_cim_conv(&mut net, |c| c.set_backends(backends.clone()).unwrap());
+            PreparedCimModel::new(Box::new(net))
+        };
         let mut registry = ModelRegistry::new();
-        registry.register("m", prepared(70));
+        registry.register("m", prepared_on(&backends));
         let session = CimServer::new(
             registry,
             ServeConfig::builder()
                 .workers(1)
                 .max_batch(Some(2))
-                .backends(backends.clone())
                 .build()
                 .unwrap(),
         )
@@ -711,9 +681,7 @@ fn backend_counters_attribute_sweeps_to_the_primary_backend() {
         let inputs: Vec<Tensor> = [1usize, 2, 1, 3].iter().map(|&b| request(rng, b)).collect();
         submit_and_wait(&session, &inputs);
 
-        let mut model = prepared(70);
-        model.set_backends(backends).unwrap();
-        let layers = model.backend_layer_counts();
+        let layers = prepared_on(&backends).backend_layer_counts();
         assert!(layers[primary.index()] > 0, "{primary:?} serves the model");
         let active = |s: &ServeStats| s.backends.map(|b| b.active_layers);
         assert_eq!(active(&session.stats()), layers, "live active layers");

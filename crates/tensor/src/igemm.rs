@@ -28,9 +28,8 @@
 //!   (chunks of at most 255 entries, so no sum can wrap while B stays in
 //!   `[-128, 128]`), and widens each chunk's sum once as it folds into
 //!   the i32 C.
-//! * [`accum_to_f32`] / [`shift_add_into`] — the exact `i32 → f32`
-//!   epilogues: psums are integers well inside f32's 24-bit mantissa, so
-//!   converting (and optionally shift-adding across bit-splits) is
+//! * [`accum_to_f32`] — the exact `i32 → f32` epilogue: psums are
+//!   integers well inside f32's 24-bit mantissa, so converting is
 //!   bit-identical to having run the whole chain in f32.
 //!
 //! Everything here is plain safe Rust; the unit tests pin each piece
@@ -426,22 +425,6 @@ pub fn accum_to_f32(acc: &[i32], out: &mut [f32]) {
     }
 }
 
-/// Shift-add `i32 → f32` epilogue: `out[i] += (acc[i] as f32) · shift` —
-/// folds one bit-split's accumulator into a running f32 output with its
-/// `2^(cb·s)` shift weight. Exact under the same mantissa bound as
-/// [`accum_to_f32`].
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn shift_add_into(acc: &[i32], shift: f32, out: &mut [f32]) {
-    assert_eq!(acc.len(), out.len(), "epilogue buffer length");
-    for (o, &v) in out.iter_mut().zip(acc) {
-        debug_assert!(v.unsigned_abs() < 1 << 24, "psum {v} exceeds f32 exactness");
-        *o += (v as f32) * shift;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,13 +726,5 @@ mod tests {
                  stride={stride} pad={pad}"
             );
         }
-    }
-
-    #[test]
-    fn shift_add_epilogue_is_exact() {
-        let acc = vec![3i32, -5, 0, 1 << 20];
-        let mut out = vec![1.0f32; 4];
-        shift_add_into(&acc, 4.0, &mut out);
-        assert_eq!(out, vec![13.0, -19.0, 1.0, 4194305.0]);
     }
 }

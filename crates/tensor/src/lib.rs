@@ -48,9 +48,7 @@ pub use conv::{
     conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_grouped, conv2d_grouped_into,
     conv2d_naive, conv_out_dim, ConvShape,
 };
-pub use igemm::{
-    accum_to_f32, igemm_into, im2col_i8, shift_add_into, widen_i8_to_i32, PackedPanels,
-};
+pub use igemm::{accum_to_f32, igemm_into, im2col_i8, widen_i8_to_i32, PackedPanels};
 pub use matmul::{
     gemm_nn_acc, gemm_nt_acc, matmul, matmul_a_bt, matmul_at_b, max_threads, threads_for,
 };

@@ -126,11 +126,6 @@ impl CqRng {
         r * theta.cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// Log-normal multiplicative factor `e^θ`, `θ ~ N(0, sigma)` — the
     /// memory-cell variation model of the paper's Eq. (5).
     pub fn lognormal_factor(&mut self, sigma: f32) -> f32 {

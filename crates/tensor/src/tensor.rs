@@ -198,13 +198,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Element-wise combination of two same-shaped tensors.
     ///
     /// # Panics
