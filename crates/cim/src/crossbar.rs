@@ -68,19 +68,6 @@ impl Crossbar {
         self.cells[row * self.cols + col] = value;
     }
 
-    /// Programs a column from the top; unspecified rows keep their value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() > rows` or `col` is out of bounds.
-    pub fn program_column(&mut self, col: usize, values: &[f32]) {
-        assert!(col < self.cols, "column {col} out of bounds");
-        assert!(values.len() <= self.rows, "column data longer than array");
-        for (r, &v) in values.iter().enumerate() {
-            self.cells[r * self.cols + col] = v;
-        }
-    }
-
     /// Analog MAC: drives `input` on the wordlines and returns the bitline
     /// currents `out[c] = Σ_r input[r] · cell[r][c]`.
     ///
@@ -159,16 +146,6 @@ mod tests {
             xb.program(r, 0, 1.0);
         }
         assert_eq!(xb.mac(&[2.0, 3.0]), vec![5.0]);
-    }
-
-    #[test]
-    fn program_column_and_cell_access() {
-        let mut xb = Crossbar::new(4, 3);
-        xb.program_column(1, &[-1.0, 2.0, -3.0]);
-        assert_eq!(xb.cell(0, 1), -1.0);
-        assert_eq!(xb.cell(2, 1), -3.0);
-        assert_eq!(xb.cell(3, 1), 0.0);
-        assert_eq!(xb.programmed_cells(), 3);
     }
 
     #[test]

@@ -650,7 +650,7 @@ impl PsumPipeline {
             exec::scope(|sc| {
                 for group in items.chunks_mut(per) {
                     sc.spawn(move || {
-                        let mut patch = arena::take_f32_zeroed(p.rows_used);
+                        let mut patch = vec![0.0; p.rows_used];
                         for item in group {
                             self.drive_row_tile(
                                 arrays,
@@ -663,7 +663,6 @@ impl PsumPipeline {
                                 &mut item.chunks,
                             );
                         }
-                        arena::put_f32(patch);
                     });
                 }
             });

@@ -23,9 +23,7 @@
 //! Per-call intermediates (the quantized and channel-padded activations,
 //! per-split partial sums, the im2col matrix) are checked out
 //! of the executing thread's [`cq_tensor::arena`], so a steady-state
-//! serving loop allocates only its output tensors — one arena per worker
-//! instead of the old per-layer scratch pools that multiplied across
-//! layers × workers × models.
+//! serving loop allocates only its output tensors.
 
 use crate::pipeline::IntGroupedWeights;
 use crate::{Adc, PsumPipeline, QuantizedConv};

@@ -69,30 +69,6 @@ pub struct VariationCfg {
     pub seed: u64,
 }
 
-/// Frozen serving state: the prepared executor. Present only between
-/// [`CimConv2d::freeze`] and the next invalidating mutation (training
-/// forward, stage toggle, scale reset, variation change, checkpoint
-/// restore).
-///
-/// Per-call intermediates come from the executing worker's
-/// [`cq_tensor::arena`], so concurrent calls from the shared eval path
-/// never contend on buffers and steady-state serving allocates only
-/// outputs — without this struct carrying a scratch pool per layer.
-struct FrozenConv {
-    prepared: PreparedConv,
-}
-
-impl FrozenConv {
-    fn new(prepared: PreparedConv) -> Self {
-        Self { prepared }
-    }
-
-    /// Serves one call (concurrency-safe).
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.prepared.infer(x)
-    }
-}
-
 struct FwdCache {
     x: Tensor,
     a_pad: Tensor,
@@ -137,7 +113,11 @@ pub struct CimConv2d {
     cache: Option<FwdCache>,
     fp_cache: Option<Tensor>,
     p_layout_cache: HashMap<usize, Vec<GroupLayout>>,
-    frozen: Option<FrozenConv>,
+    /// Frozen serving state: the prepared executor. Present only between
+    /// [`CimConv2d::freeze`] and the next invalidating mutation (training
+    /// forward, stage toggle, scale reset, variation change, checkpoint
+    /// restore).
+    frozen: Option<PreparedConv>,
     /// Execution-backend chain applied to the frozen executor (kept
     /// across re-freezes).
     backends: BackendSet,
@@ -634,7 +614,7 @@ impl CimConv2d {
         prepared
             .set_backends(self.backends.clone())
             .expect("configured backend chain cannot execute the frozen layer");
-        self.frozen = Some(FrozenConv::new(prepared));
+        self.frozen = Some(prepared);
     }
 
     /// Selects the execution-backend chain of the frozen executor (see
@@ -650,7 +630,7 @@ impl CimConv2d {
     /// variation); the previous configuration is left untouched.
     pub fn set_backends(&mut self, backends: BackendSet) -> Result<(), BackendError> {
         if let Some(fr) = &mut self.frozen {
-            fr.prepared.set_backends(backends.clone())?;
+            fr.set_backends(backends.clone())?;
         }
         self.backends = backends;
         Ok(())
@@ -663,7 +643,7 @@ impl CimConv2d {
 
     /// The backend the frozen executor resolved (`None` when unfrozen).
     pub fn active_backend(&self) -> Option<BackendKind> {
-        self.frozen.as_ref().map(|fr| fr.prepared.active_backend())
+        self.frozen.as_ref().map(PreparedConv::active_backend)
     }
 
     /// Whether the frozen executor currently dispatches to the integer
@@ -673,7 +653,7 @@ impl CimConv2d {
     pub fn integer_kernel_active(&self) -> bool {
         self.frozen
             .as_ref()
-            .is_some_and(|fr| fr.prepared.integer_kernel_active())
+            .is_some_and(PreparedConv::integer_kernel_active)
     }
 
     /// Drops the frozen serving state (the next eval forward runs the full

@@ -390,11 +390,6 @@ impl ResNet {
     pub fn spec(&self) -> &ResNetSpec {
         &self.spec
     }
-
-    /// Number of residual blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 impl Layer for ResNet {
@@ -496,7 +491,6 @@ mod tests {
         let x = rng.normal_tensor(&[2, 3, 32, 32], 1.0);
         let y = net.forward(&x, Mode::Eval);
         assert_eq!(y.shape(), &[2, 10]);
-        assert_eq!(net.num_blocks(), 9);
     }
 
     #[test]

@@ -85,8 +85,7 @@ pub enum Mode {
 /// each registered `PreparedCimModel` between its workers through an
 /// `Arc`, and the frozen engine runs [`Layer::forward_shared`] from
 /// several workers and pipeline waves at once. Every layer
-/// in this workspace is plain owned data (frozen CIM convolutions guard
-/// their scratch pool with a mutex), so the bounds cost nothing.
+/// in this workspace is plain owned data, so the bounds cost nothing.
 pub trait Layer: std::any::Any + Send + Sync {
     /// Runs the layer on `x`.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;

@@ -362,20 +362,6 @@ impl QuantScheme {
             if self.learnable_p_scale { "yes" } else { "no" },
         )
     }
-
-    /// One markdown row of the zoo table (README "Schemes" section).
-    pub fn zoo_row(&self) -> String {
-        format!(
-            "| `{}` | {} | {} | {} | {}/{} | {} |",
-            self.name,
-            self.label,
-            self.weight_quant,
-            self.digitization,
-            self.w_gran,
-            self.p_gran,
-            self.method,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -466,14 +452,5 @@ mod tests {
         assert_eq!(s.digital_splits_for(1), 0, "single split stays analog");
         assert_eq!(QuantScheme::ours().digital_splits_for(3), 0);
         assert_eq!(QuantScheme::bwma().digital_splits_for(1), 0);
-    }
-
-    #[test]
-    fn zoo_rows_render() {
-        for s in QuantScheme::zoo() {
-            let row = s.zoo_row();
-            assert!(row.contains(&s.name) && row.contains(&s.label));
-            assert_eq!(row.matches('|').count(), 7);
-        }
     }
 }

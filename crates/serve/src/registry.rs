@@ -250,6 +250,15 @@ impl Slot {
     }
 }
 
+/// The newest live slot named `name`, with its index.
+fn newest_live<'a>(slots: &'a [Arc<Slot>], name: &str) -> Option<(usize, &'a Arc<Slot>)> {
+    slots
+        .iter()
+        .enumerate()
+        .rev()
+        .find(|(_, s)| s.name == name && s.is_live())
+}
+
 /// The resident model set of a [`CimServer`](crate::CimServer) — and, on
 /// a live [`ServeSession`](crate::ServeSession), a hot-swappable one (see
 /// the module docs).
@@ -324,7 +333,7 @@ impl ModelRegistry {
     ) -> Result<ModelId, SwapError> {
         let name = name.into();
         let mut slots = self.slots.write().unwrap();
-        if let Some(held) = slots.iter().find(|s| s.name == name && s.is_live()) {
+        if let Some((_, held)) = newest_live(&slots, &name) {
             return Err(SwapError::DuplicateName {
                 name,
                 existing_scheme: held.scheme.clone(),
@@ -347,8 +356,8 @@ impl ModelRegistry {
     pub(crate) fn evict(&self, name: &str) -> Result<EvictTicket, SwapError> {
         let slot = {
             let slots = self.slots.read().unwrap();
-            match slots.iter().rev().find(|s| s.name == name && s.is_live()) {
-                Some(slot) => slot.clone(),
+            match newest_live(&slots, name) {
+                Some((_, slot)) => slot.clone(),
                 None => return Err(SwapError::UnknownModel(name.to_string())),
             }
         };
@@ -425,12 +434,7 @@ impl ModelRegistry {
     pub(crate) fn admit_name(&self, name: &str) -> Result<(ModelId, Option<usize>), SubmitError> {
         let (idx, slot) = {
             let slots = self.slots.read().unwrap();
-            match slots
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, s)| s.name == name && s.is_live())
-            {
+            match newest_live(&slots, name) {
                 Some((i, slot)) => (i, slot.clone()),
                 None => return Err(SubmitError::UnknownModel(name.to_string())),
             }
@@ -464,13 +468,7 @@ impl ModelRegistry {
 
     /// Looks up the newest **live** model id by name.
     pub fn id(&self, name: &str) -> Option<ModelId> {
-        let slots = self.slots.read().unwrap();
-        slots
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, s)| s.name == name && s.is_live())
-            .map(|(i, _)| ModelId(i))
+        newest_live(&self.slots.read().unwrap(), name).map(|(i, _)| ModelId(i))
     }
 
     /// Name of a registered model (evicted slots keep their name).

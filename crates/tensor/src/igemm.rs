@@ -332,9 +332,8 @@ fn igemm_blocks<const W: usize>(
     if cols.is_empty() {
         return;
     }
-    // A plain allocation, not arena scratch: one more arena checkout per
-    // call makes the arena's high-water trim drop and re-allocate buffers
-    // far more often, which raised peak memory.
+    // A plain per-call allocation, not arena scratch: the panel is small
+    // (`k` rows of `W` i16).
     let mut panel = vec![[0i16; W]; a.k];
     for j in cols.clone().step_by(W) {
         let width = W.min(cols.end - j);

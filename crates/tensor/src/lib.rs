@@ -39,7 +39,6 @@ mod rng;
 pub mod stats;
 mod tensor;
 
-pub use arena::ScratchArena;
 pub use backend::{
     backend_instance, BackendError, BackendKind, BackendSet, ConvProfile, ExecBackend, IntPanels,
     ScalarRef, SimdF32,

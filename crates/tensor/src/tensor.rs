@@ -129,23 +129,6 @@ impl Tensor {
         Tensor::from_vec(self.data.clone(), shape)
     }
 
-    /// Reshapes in place without copying the buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        let numel: usize = shape.iter().product();
-        assert_eq!(
-            self.data.len(),
-            numel,
-            "reshape {:?} -> {:?}",
-            self.shape,
-            shape
-        );
-        self.shape = shape.to_vec();
-    }
-
     /// Flat index of a 4-D coordinate in an NCHW tensor.
     ///
     /// # Panics
@@ -260,18 +243,6 @@ impl Tensor {
         self.assert_same_shape(other);
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// In-place `self += alpha * other` (axpy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_scaled(&mut self, other: &Tensor, alpha: f32) {
-        self.assert_same_shape(other);
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
         }
     }
 
@@ -424,15 +395,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Element-wise division.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ (division by zero follows IEEE 754).
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, |a, b| a / b)
-    }
-
     /// Concatenates tensors along the outermost dimension.
     ///
     /// # Panics
@@ -451,54 +413,6 @@ impl Tensor {
         let mut shape = vec![outer];
         shape.extend_from_slice(inner);
         Tensor { shape, data }
-    }
-
-    /// Sum along one axis, removing it from the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank` or the tensor is rank 1 with no remaining
-    /// dims... (a rank-1 tensor reduces to a scalar-shaped `[1]` tensor).
-    pub fn sum_axis(&self, axis: usize) -> Tensor {
-        assert!(
-            axis < self.rank(),
-            "axis {axis} out of range for rank {}",
-            self.rank()
-        );
-        let outer: usize = self.shape[..axis].iter().product();
-        let mid = self.shape[axis];
-        let inner: usize = self.shape[axis + 1..].iter().product();
-        let mut out = vec![0.0f32; outer * inner];
-        for o in 0..outer {
-            for m in 0..mid {
-                let base = (o * mid + m) * inner;
-                let obase = o * inner;
-                for i in 0..inner {
-                    out[obase + i] += self.data[base + i];
-                }
-            }
-        }
-        let mut shape: Vec<usize> = self.shape[..axis]
-            .iter()
-            .chain(&self.shape[axis + 1..])
-            .copied()
-            .collect();
-        if shape.is_empty() {
-            shape.push(1);
-        }
-        Tensor::from_vec(out, &shape)
-    }
-
-    /// Mean along one axis, removing it from the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank`.
-    pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let n = self.shape[axis] as f32;
-        let mut t = self.sum_axis(axis);
-        t.scale_in_place(1.0 / n);
-        t
     }
 
     /// Maximum absolute element-wise difference to another tensor.
@@ -599,9 +513,6 @@ mod tests {
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
-        let mut c = a.clone();
-        c.add_scaled(&b, 2.0);
-        assert_eq!(c.data(), &[9.0, 12.0, 15.0]);
     }
 
     #[test]
@@ -678,17 +589,7 @@ mod tests {
         let t = Tensor::arange(6);
         let r = t.reshape(&[2, 3]);
         assert_eq!(r.at(&[1, 0]), 3.0);
-        let mut r2 = r.clone();
-        r2.reshape_in_place(&[3, 2]);
-        assert_eq!(r2.shape(), &[3, 2]);
-        assert_eq!(r2.data(), t.data());
-    }
-
-    #[test]
-    fn div_elementwise() {
-        let a = Tensor::from_vec(vec![6.0, 9.0, -4.0], &[3]);
-        let b = Tensor::from_vec(vec![2.0, 3.0, 4.0], &[3]);
-        assert_eq!(a.div(&b).data(), &[3.0, 3.0, -1.0]);
+        assert_eq!(r.data(), t.data());
     }
 
     #[test]
@@ -706,22 +607,6 @@ mod tests {
         let a = Tensor::zeros(&[1, 2]);
         let b = Tensor::zeros(&[1, 3]);
         let _ = Tensor::concat_outer(&[&a, &b]);
-    }
-
-    #[test]
-    fn sum_and_mean_axis() {
-        let t = Tensor::from_vec((1..=6).map(|i| i as f32).collect(), &[2, 3]);
-        // Sum over rows (axis 0): column sums.
-        assert_eq!(t.sum_axis(0).data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(t.sum_axis(0).shape(), &[3]);
-        // Sum over columns (axis 1): row sums.
-        assert_eq!(t.sum_axis(1).data(), &[6.0, 15.0]);
-        assert_eq!(t.mean_axis(1).data(), &[2.0, 5.0]);
-        // Middle axis of a rank-3 tensor.
-        let u = Tensor::arange(8).reshape(&[2, 2, 2]);
-        assert_eq!(u.sum_axis(1).data(), &[2.0, 4.0, 10.0, 12.0]);
-        // Rank-1 reduces to [1].
-        assert_eq!(Tensor::arange(4).sum_axis(0).data(), &[6.0]);
     }
 
     #[test]
